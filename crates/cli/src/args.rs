@@ -136,6 +136,27 @@ impl Args {
         })
     }
 
+    /// Parses a flag's value; `None` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgsError::BadValue`] when present but unparsable.
+    pub fn get_opt<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        expected: &'static str,
+    ) -> Result<Option<T>, ArgsError> {
+        self.get(flag)
+            .map(|text| {
+                text.parse().map_err(|_| ArgsError::BadValue {
+                    flag: flag.to_string(),
+                    value: text.to_string(),
+                    expected,
+                })
+            })
+            .transpose()
+    }
+
     /// Parses a flag's value with a default when absent.
     ///
     /// # Errors
@@ -147,14 +168,7 @@ impl Args {
         default: T,
         expected: &'static str,
     ) -> Result<T, ArgsError> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(text) => text.parse().map_err(|_| ArgsError::BadValue {
-                flag: flag.to_string(),
-                value: text.to_string(),
-                expected,
-            }),
-        }
+        Ok(self.get_opt(flag, expected)?.unwrap_or(default))
     }
 }
 

@@ -2,9 +2,9 @@
 
 use crate::args::Args;
 use crate::CliError;
-use aipow_core::{framework::random_master_key, FrameworkBuilder, StaticFeatureSource};
+use aipow_core::config::ConfigError;
+use aipow_core::{framework::random_master_key, Framework, FrameworkConfig, StaticFeatureSource};
 use aipow_net::{PowClient, PowServer, ServerConfig};
-use aipow_policy::registry;
 use aipow_pow::solver::{self, SolverOptions};
 use aipow_pow::{Difficulty, Issuer};
 use aipow_reputation::dabr::DabrModel;
@@ -14,116 +14,83 @@ use aipow_reputation::synth::DatasetSpec;
 use aipow_reputation::{FeatureVector, ReputationScore};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
+use std::num::NonZeroUsize;
 use std::sync::Arc;
+use std::time::Duration;
 
-/// `aipow serve` — run the PoW-fronted resource server until interrupted.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on bad flags, an unresolvable policy spec, or bind
-/// failure.
-pub fn serve(raw: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(
-        raw.iter().cloned(),
-        &[
-            "addr",
-            "policy",
-            "resource",
-            "key",
-            "bypass",
-            "workers",
-            "reactor-shards",
-            "max-connections",
-            "per-ip-cap",
-            "idle-timeout",
-            "score",
-            "max-batch",
-            "lanes",
-            "verify-lanes",
-            "memory-hard-above",
-            "arena-mib",
-            "trace-sample",
-            "flight-capacity",
-        ],
-        &[],
-    )?;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:8471").to_string();
-    let policy_spec = args.get("policy").unwrap_or("policy2");
-    let policy = registry::from_spec(policy_spec, 0)
-        .map_err(|e| CliError::usage(format!("--policy: {e}")))?;
+/// Every flag `aipow serve` accepts — the list [`Args::parse`] is given,
+/// and the list README and [`crate::USAGE`] are checked against.
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "policy",
+    "resource",
+    "key",
+    "bypass",
+    "reactor-shards",
+    "max-connections",
+    "per-ip-cap",
+    "idle-timeout",
+    "score",
+    "max-batch",
+    "lanes",
+    "memory-hard-above",
+    "arena-mib",
+    "trace-sample",
+    "flight-capacity",
+];
 
+/// What `aipow serve` decided from its flags, before any socket exists:
+/// the framework (built through [`FrameworkConfig::apply`], the one
+/// validator of every framework knob) and the connection-layer config.
+struct ServePlan {
+    addr: String,
+    framework: Arc<Framework>,
+    resources: HashMap<String, Vec<u8>>,
+    server: ServerConfig,
+    score: ReputationScore,
+}
+
+/// Parses `aipow serve`'s flags into a [`ServePlan`]. Pure: binds
+/// nothing, so every usage error is reachable from a unit test.
+fn serve_plan(raw: &[String]) -> Result<ServePlan, CliError> {
+    let args = Args::parse(raw.iter().cloned(), SERVE_FLAGS, &[])?;
     let key = match args.get("key") {
         Some(hex) => parse_key(hex)?,
         None => random_master_key(),
     };
-
     // Until a flow monitor is wired in, the demo server scores every
     // client with a fixed value (configurable for experimentation).
     let score = args.get_parsed::<f64>("score", 5.0, "a score in [0,10]")?;
     let score =
         ReputationScore::new(score).map_err(|e| CliError::usage(format!("--score: {e}")))?;
 
-    let mut builder = FrameworkBuilder::new()
-        .master_key(key)
-        .model(FixedScoreModel::new(score))
-        .policy_boxed(policy);
-    if let Some(threshold) = args.get("bypass") {
-        let threshold: f64 = threshold
-            .parse()
-            .map_err(|_| CliError::usage("--bypass expects a number"))?;
-        builder = builder.bypass_threshold(threshold);
+    let defaults = FrameworkConfig::default();
+    let framework = FrameworkConfig {
+        policy_spec: args.get("policy").unwrap_or(&defaults.policy_spec).into(),
+        bypass_threshold: args.get_opt("bypass", "a score in [0,10]")?,
+        max_batch: args.get_parsed("max-batch", defaults.max_batch, "a positive integer")?,
+        lanes: args.get_opt("lanes", "an integer in [1,8]")?,
+        // Backend routing: clients scoring past the threshold are issued
+        // memory-hard puzzles instead of SHA-256 preimages.
+        memory_hard_above: args.get_opt("memory-hard-above", "a score in [0,10]")?,
+        memory_hard_arena_mib: args.get_opt("arena-mib", "an integer MiB count")?,
+        // Tracing defaults ON for the server: 1-in-64 sampling keeps the
+        // telemetry endpoint's stage histograms and the flight recorder
+        // live with negligible overhead. `--trace-sample 0` disables it.
+        trace_sample_rate: args.get_parsed("trace-sample", 64, "an integer (0 disables)")?,
+        flight_recorder_capacity: args.get_parsed(
+            "flight-capacity",
+            defaults.flight_recorder_capacity,
+            "a positive integer",
+        )?,
+        ..defaults
     }
-    // Backend routing: clients scoring past the threshold are issued
-    // memory-hard puzzles instead of SHA-256 preimages.
-    if let Some(threshold) = args.get("memory-hard-above") {
-        let threshold: f64 = threshold
-            .parse()
-            .map_err(|_| CliError::usage("--memory-hard-above expects a number"))?;
-        if !threshold.is_finite() || !(0.0..=10.0).contains(&threshold) {
-            return Err(CliError::usage(
-                "--memory-hard-above must be a score in [0,10]",
-            ));
-        }
-        builder = builder.route_memory_hard_above(threshold);
-    }
-    if let Some(mib) = args.get("arena-mib") {
-        let mib: u8 = mib
-            .parse()
-            .map_err(|_| CliError::usage("--arena-mib expects an integer MiB count"))?;
-        if !aipow_crypto::memmix::validate_arena_mib(mib) {
-            return Err(CliError::usage(format!(
-                "--arena-mib must be within [{},{}]",
-                aipow_crypto::memmix::MIN_ARENA_MIB,
-                aipow_crypto::memmix::MAX_ARENA_MIB
-            )));
-        }
-        builder = builder.memory_hard_arena_mib(mib);
-    }
-    // Tracing defaults ON for the server: 1-in-64 sampling keeps the
-    // telemetry endpoint's stage histograms and the flight recorder live
-    // with negligible overhead. `--trace-sample 0` disables it.
-    let trace_sample = args.get_parsed::<u64>("trace-sample", 64, "an integer (0 disables)")?;
-    let flight_capacity =
-        args.get_parsed::<usize>("flight-capacity", 4096, "a positive integer")?;
-    if trace_sample > 0 {
-        if flight_capacity == 0 {
-            return Err(CliError::usage(
-                "--flight-capacity must be at least 1 when tracing is enabled",
-            ));
-        }
-        builder = builder.tracer(Arc::new(aipow_trace::Tracer::new(
-            aipow_trace::TraceConfig {
-                sample_every: trace_sample,
-                ring_capacity: flight_capacity,
-                ..aipow_trace::TraceConfig::default()
-            },
-        )));
-    }
-    let framework = Arc::new(
-        builder
-            .build()
-            .map_err(|e| CliError::runtime(e.to_string()))?,
-    );
+    .apply()
+    .map_err(config_usage)?
+    .master_key(key)
+    .model(FixedScoreModel::new(score))
+    .build()
+    .map_err(|e| CliError::runtime(e.to_string()))?;
 
     let mut resources = HashMap::new();
     for spec in args.get_all("resource") {
@@ -136,66 +103,93 @@ pub fn serve(raw: &[String]) -> Result<(), CliError> {
         resources.insert("/".to_string(), b"it works".to_vec());
     }
 
-    let reactor_shards = reactor_shards_flag(&args)?;
     let defaults = ServerConfig::default();
-    let max_connections = args.get_parsed::<usize>(
-        "max-connections",
-        defaults.max_connections,
-        "a positive integer",
-    )?;
-    if max_connections == 0 {
-        return Err(CliError::usage("--max-connections must be at least 1"));
-    }
-    let per_ip_connection_cap = args.get_parsed::<usize>(
-        "per-ip-cap",
-        defaults.per_ip_connection_cap,
-        "an integer (0 disables the per-IP cap)",
-    )?;
-    let idle_secs = args.get_parsed::<u64>(
-        "idle-timeout",
-        defaults.idle_timeout.as_secs(),
-        "a whole number of seconds (0 disables idle reaping)",
-    )?;
-    let max_batch = args.get_parsed::<usize>(
-        "max-batch",
-        aipow_core::DEFAULT_MAX_BATCH,
-        "a positive integer",
-    )?;
-    if max_batch == 0 {
-        return Err(CliError::usage("--max-batch must be at least 1"));
-    }
-    let lanes = lanes_flag(&args)?;
-    let server = PowServer::start(
-        &addr,
-        Arc::clone(&framework),
-        Arc::new(StaticFeatureSource::new(FeatureVector::zeros())),
+    let positive = "a positive integer";
+    let server = ServerConfig {
+        max_connections: args
+            .get_opt::<NonZeroUsize>("max-connections", positive)?
+            .map_or(defaults.max_connections, NonZeroUsize::get),
+        per_ip_connection_cap: args.get_parsed(
+            "per-ip-cap",
+            defaults.per_ip_connection_cap,
+            "an integer (0 disables the per-IP cap)",
+        )?,
+        idle_timeout: Duration::from_secs(args.get_parsed(
+            "idle-timeout",
+            defaults.idle_timeout.as_secs(),
+            "a whole number of seconds (0 disables idle reaping)",
+        )?),
+        reactor_shards: args
+            .get_opt::<NonZeroUsize>("reactor-shards", positive)?
+            .map(NonZeroUsize::get),
+        ..defaults
+    };
+    Ok(ServePlan {
+        addr: args.get("addr").unwrap_or("127.0.0.1:8471").to_string(),
+        framework: Arc::new(framework),
         resources,
-        ServerConfig {
-            max_connections,
-            per_ip_connection_cap,
-            idle_timeout: std::time::Duration::from_secs(idle_secs),
-            reactor_shards,
-            max_batch,
-            lanes,
-            ..Default::default()
-        },
-    )
-    .map_err(|e| CliError::runtime(format!("bind {addr}: {e}")))?;
+        server,
+        score,
+    })
+}
 
+/// A [`ConfigError`] as a usage error naming the flag that set the
+/// rejected field.
+fn config_usage(e: ConfigError) -> CliError {
+    let flag = match &e {
+        ConfigError::Policy(_) => "--policy",
+        ConfigError::BadBypassThreshold { .. } => "--bypass",
+        ConfigError::BadMaxBatch { .. } => "--max-batch",
+        ConfigError::BadVerifyLanes { .. } => "--lanes",
+        ConfigError::BadRoutingThreshold { .. } => "--memory-hard-above",
+        ConfigError::BadArenaMib { .. } => "--arena-mib",
+        ConfigError::ZeroCapacity {
+            field: "flight recorder",
+        } => "--flight-capacity",
+        // No `serve` flag sets the remaining fields; their defaults are
+        // valid, so this arm is unreachable from the command line.
+        _ => "config",
+    };
+    CliError::usage(format!("{flag}: {e}"))
+}
+
+impl ServePlan {
+    /// Binds the listener and starts the reactor.
+    fn start(self) -> Result<PowServer, CliError> {
+        PowServer::start(
+            &self.addr,
+            self.framework,
+            Arc::new(StaticFeatureSource::new(FeatureVector::zeros())),
+            self.resources,
+            self.server,
+        )
+        .map_err(|e| CliError::runtime(format!("bind {}: {e}", self.addr)))
+    }
+}
+
+/// `aipow serve` — run the PoW-fronted resource server until interrupted.
+///
+/// # Errors
+///
+/// Returns [`CliError`] on bad flags, an unresolvable policy spec, or bind
+/// failure.
+pub fn serve(raw: &[String]) -> Result<(), CliError> {
+    let plan = serve_plan(raw)?;
+    let (framework, score) = (Arc::clone(&plan.framework), plan.score);
+    let server = plan.start()?;
     println!(
         "serving on {} with policy `{}` (fixed client score {score}, {} verify lanes, {}); Ctrl-C to stop",
         server.local_addr(),
         framework.policy_name(),
         framework.verifier().verify_lanes(),
-        if trace_sample > 0 {
-            format!("tracing 1-in-{trace_sample}")
-        } else {
-            "tracing off".to_string()
+        match framework.tracer() {
+            Some(tracer) => format!("tracing 1-in-{}", tracer.sample_every()),
+            None => "tracing off".to_string(),
         },
     );
     // Serve until the process is killed; print a metrics line every 10 s.
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(10));
+        std::thread::sleep(Duration::from_secs(10));
         let snap = framework.metrics().snapshot();
         println!(
             "issued {} accepted {} rejected {} bypassed {}",
@@ -636,71 +630,6 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Reads the verification lane-count knob. The documented flag is
-/// `--lanes` (one name across config, CLI, and `SolverOptions`);
-/// `--verify-lanes` remains accepted as a deprecated alias. When both are
-/// given they must agree.
-fn lanes_flag(args: &Args) -> Result<Option<usize>, CliError> {
-    let parse = |flag: &str, raw: &str| -> Result<usize, CliError> {
-        let lanes: usize = raw
-            .parse()
-            .map_err(|_| CliError::usage(format!("--{flag} expects an integer in [1,8]")))?;
-        if lanes == 0 || lanes > aipow_crypto::MAX_LANES {
-            return Err(CliError::usage(format!(
-                "--{flag} must be within [1,{}]",
-                aipow_crypto::MAX_LANES
-            )));
-        }
-        Ok(lanes)
-    };
-    let canonical = args
-        .get("lanes")
-        .map(|raw| parse("lanes", raw))
-        .transpose()?;
-    let alias = args
-        .get("verify-lanes")
-        .map(|raw| parse("verify-lanes", raw))
-        .transpose()?;
-    match (canonical, alias) {
-        (Some(a), Some(b)) if a != b => Err(CliError::usage(
-            "--lanes and --verify-lanes (deprecated alias) disagree; pass only --lanes",
-        )),
-        (Some(a), _) => Ok(Some(a)),
-        (None, alias) => Ok(alias),
-    }
-}
-
-/// Parses `--reactor-shards`, accepting `--workers` as a deprecated
-/// alias (the knob the threaded server had; on the reactor it means
-/// shard threads). `None` lets the server auto-size from the machine's
-/// parallelism.
-fn reactor_shards_flag(args: &Args) -> Result<Option<usize>, CliError> {
-    let parse = |flag: &str, raw: &str| -> Result<usize, CliError> {
-        let shards: usize = raw
-            .parse()
-            .map_err(|_| CliError::usage(format!("--{flag} expects a positive integer")))?;
-        if shards == 0 {
-            return Err(CliError::usage(format!("--{flag} must be at least 1")));
-        }
-        Ok(shards)
-    };
-    let canonical = args
-        .get("reactor-shards")
-        .map(|raw| parse("reactor-shards", raw))
-        .transpose()?;
-    let alias = args
-        .get("workers")
-        .map(|raw| parse("workers", raw))
-        .transpose()?;
-    match (canonical, alias) {
-        (Some(a), Some(b)) if a != b => Err(CliError::usage(
-            "--reactor-shards and --workers (deprecated alias) disagree; pass only --reactor-shards",
-        )),
-        (Some(a), _) => Ok(Some(a)),
-        (None, alias) => Ok(alias),
-    }
-}
-
 fn parse_key(hex: &str) -> Result<[u8; 32], CliError> {
     let bytes =
         aipow_crypto::hex::decode(hex).map_err(|e| CliError::usage(format!("--key: {e}")))?;
@@ -712,6 +641,7 @@ fn parse_key(hex: &str) -> Result<[u8; 32], CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aipow_core::FrameworkBuilder;
 
     fn strings(tokens: &[&str]) -> Vec<String> {
         tokens.iter().map(|s| s.to_string()).collect()
@@ -766,38 +696,91 @@ mod tests {
 
     #[test]
     fn lanes_flag_parses_under_both_names() {
-        // Satellite knob unification: `--lanes` is the documented name;
-        // `--verify-lanes` stays accepted as a deprecated alias.
-        for flag in ["--lanes", "--verify-lanes"] {
-            let args = Args::parse(strings(&[flag, "4"]), &["lanes", "verify-lanes"], &[]).unwrap();
-            assert_eq!(lanes_flag(&args).unwrap(), Some(4), "{flag}");
-        }
-        let agree = Args::parse(
-            strings(&["--lanes", "2", "--verify-lanes", "2"]),
-            &["lanes", "verify-lanes"],
-            &[],
-        )
-        .unwrap();
-        assert_eq!(lanes_flag(&agree).unwrap(), Some(2));
-        let disagree = Args::parse(
-            strings(&["--lanes", "2", "--verify-lanes", "8"]),
-            &["lanes", "verify-lanes"],
-            &[],
-        )
-        .unwrap();
-        let err = lanes_flag(&disagree).unwrap_err();
-        assert_eq!(err.exit_code, 2);
-        assert!(err.message.contains("disagree"), "{}", err.message);
+        // The name predates the removal of the deprecated alias: `--lanes`
+        // is the one spelling, and it reaches the verifier.
+        let plan = serve_plan(&strings(&["--lanes", "4"])).unwrap();
+        assert_eq!(plan.framework.verifier().verify_lanes(), 4);
+        let auto = serve_plan(&[]).unwrap().framework;
+        assert_eq!(auto.verifier().verify_lanes(), aipow_crypto::auto_lanes());
     }
 
     #[test]
     fn serve_rejects_bad_lane_flags_under_both_names() {
-        for flag in ["--lanes", "--verify-lanes"] {
-            for bad in ["0", "9", "wide"] {
-                let err = serve(&strings(&[flag, bad])).unwrap_err();
-                assert_eq!(err.exit_code, 2, "{flag} {bad}: {err}");
-            }
+        for bad in ["0", "9", "wide"] {
+            let err = serve(&strings(&["--lanes", bad])).unwrap_err();
+            assert_eq!(err.exit_code, 2, "--lanes {bad}: {err}");
+            assert!(err.message.contains("--lanes"), "{}", err.message);
         }
+    }
+
+    /// `--max-batch` reaches the framework, which is its one owner: the
+    /// reactor drains `framework.max_batch()` frames per dispatch
+    /// (`server::tests::reactor_drains_the_frameworks_max_batch`), and
+    /// `ServerConfig` has no field to disagree with it. Before, the flag
+    /// reached only the reactor and the framework re-chunked at 32.
+    #[test]
+    fn serve_max_batch_reaches_the_framework() {
+        let flags = ["--addr", "127.0.0.1:0", "--max-batch", "128"];
+        let plan = serve_plan(&strings(&flags)).unwrap();
+        assert_eq!(plan.framework.max_batch(), 128);
+        // The plan is what `serve` binds: it must come up and serve.
+        let server = plan.start().unwrap();
+        let addr = server.local_addr().to_string();
+        fetch(&strings(&["--addr", &addr])).unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn serve_rejects_out_of_range_knobs_naming_the_flag() {
+        for (flag, bad) in [
+            ("--max-batch", "0"),
+            ("--bypass", "42"),
+            ("--bypass", "NaN"),
+            ("--max-connections", "0"),
+            ("--reactor-shards", "0"),
+            ("--policy", "not-a-policy"),
+        ] {
+            let err = serve(&strings(&[flag, bad])).unwrap_err();
+            assert_eq!(err.exit_code, 2, "{flag} {bad}: {err}");
+            assert!(err.message.contains(flag), "{flag} {bad}: {err}");
+        }
+    }
+
+    /// README's flag table and `USAGE`'s `serve` block each list exactly
+    /// the flags `serve` parses — no stale alias, no undocumented flag.
+    #[test]
+    fn serve_flags_match_usage_and_readme() {
+        fn flags_between<'a>(text: &'a str, from: &str, to: &str) -> Vec<&'a str> {
+            let start = text.find(from).expect("section start");
+            let body = &text[start + from.len()..];
+            let body = &body[..body.find(to).expect("section end")];
+            let mut flags: Vec<&str> = body
+                .split("--")
+                .skip(1)
+                .map(|rest| {
+                    let end = rest
+                        .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                        .unwrap_or(rest.len());
+                    &rest[..end]
+                })
+                // A table rule (`|---|`) is not a flag.
+                .filter(|flag| flag.starts_with(|c: char| c.is_ascii_lowercase()))
+                .collect();
+            flags.sort_unstable();
+            flags.dedup();
+            flags
+        }
+        let mut expected = SERVE_FLAGS.to_vec();
+        expected.sort_unstable();
+        assert_eq!(
+            flags_between(crate::USAGE, "\n    serve ", "\n    fetch "),
+            expected
+        );
+        let readme = include_str!("../../../README.md");
+        assert_eq!(
+            flags_between(readme, "### `aipow serve` flags", "\n## "),
+            expected
+        );
     }
 
     #[test]

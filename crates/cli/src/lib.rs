@@ -76,13 +76,13 @@ COMMANDS:
              --resource <path=body>    repeatable; the resources to serve
              --key <hex32>             master key, 64 hex chars (default: random)
              --bypass <score>          admit scores below this without work
-             --reactor-shards <n>      reactor threads (default: auto; alias --workers)
+             --reactor-shards <n>      reactor threads (default: auto)
              --max-connections <n>     concurrent connection ceiling (default 65536)
              --per-ip-cap <n>          per-IP connection cap, 0 = off (default 4096)
              --idle-timeout <secs>     reap idle connections, 0 = off (default 30)
              --score <f>               fixed client reputation score (default 5.0)
-             --max-batch <n>           admission batch-drain cap
-             --lanes <n>               verify lanes: 1, 4, or 8 (alias --verify-lanes)
+             --max-batch <n>           frames admitted per pipeline pass (default 32)
+             --lanes <n>               verify lanes in 1..=8 (default: auto)
              --memory-hard-above <f>   route scores above this to the memory-hard puzzle
              --arena-mib <n>           memory-hard arena MiB, 1..=64 (default 8)
              --trace-sample <n>        trace 1-in-n requests, 0 disables (default 64)

@@ -74,11 +74,6 @@ pub struct FrameworkConfig {
     /// ([`aipow_crypto::auto_lanes`]); explicit values must be in
     /// `[1, 8]`, with 1 forcing the scalar path. Purely a performance
     /// knob: every width computes identical outcomes.
-    ///
-    /// This knob was previously named `verify_lanes`; configs using the
-    /// old name still deserialize (it is a serde alias), matching the
-    /// solver's `--lanes` flag and `SolverOptions::lanes`.
-    #[serde(alias = "verify_lanes")]
     pub lanes: Option<usize>,
     /// Reputation score at or above which clients are routed to the
     /// memory-hard puzzle backend instead of SHA-256 (see
@@ -102,23 +97,14 @@ pub struct FrameworkConfig {
     /// dump. Ignored when [`trace_sample_rate`](Self::trace_sample_rate)
     /// is 0; must be positive otherwise.
     pub flight_recorder_capacity: usize,
-    /// Online behavioral-reputation loop settings; `None` disables the
-    /// loop (the paper's static-feature behaviour). The settings are plain
-    /// data so deployments can version-control them.
-    ///
-    /// **Carried, validated, but not wired by [`apply`](Self::apply)**:
-    /// the loop needs the *built* framework (its tap and clock), which a
-    /// builder cannot provide. After `build()`, pass these settings to
-    /// `aipow_online::OnlineLoop::attach(framework, prior, config.online
-    /// .clone().unwrap())` — or set `aipow_net::ServerConfig::online`,
-    /// which does exactly that.
-    pub online: Option<OnlineSettings>,
 }
 
 /// Tuning for the online behavioral reputation loop (see the
-/// `aipow-online` crate). Lives here, beside the rest of the framework
-/// config, so it can ride inside [`FrameworkConfig`] and
-/// `aipow_net::ServerConfig` as serializable data without `aipow-core`
+/// `aipow-online` crate). The loop needs the *built* framework (its tap
+/// and clock), so these settings are not part of [`FrameworkConfig`]:
+/// set `aipow_net::ServerConfig::online`, or pass them to
+/// `aipow_online::OnlineLoop::attach`. They live in this crate so that
+/// both can carry them as serializable data without `aipow-core`
 /// depending on the online crate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
@@ -251,7 +237,6 @@ impl Default for FrameworkConfig {
             memory_hard_arena_mib: None,
             trace_sample_rate: 0,
             flight_recorder_capacity: TraceConfig::default().ring_capacity,
-            online: None,
         }
     }
 }
@@ -386,11 +371,7 @@ impl From<registry::SpecError> for ConfigError {
 impl FrameworkConfig {
     /// Validates the config and produces a pre-populated builder. The
     /// caller still supplies the model and master key (neither is sensibly
-    /// expressible as plain data). Likewise, [`online`](Self::online) is
-    /// validated here but must be wired by the caller after `build()`
-    /// (via `aipow_online::OnlineLoop::attach` or
-    /// `aipow_net::ServerConfig::online`) — a builder cannot construct a
-    /// loop that needs the built framework.
+    /// expressible as plain data).
     ///
     /// # Errors
     ///
@@ -412,46 +393,15 @@ impl FrameworkConfig {
         if self.ledger_capacity == 0 {
             return Err(ConfigError::ZeroCapacity { field: "ledger" });
         }
-        if let Some(shards) = self.shard_count {
-            if shards == 0 || shards > aipow_shard::MAX_SHARDS {
-                return Err(ConfigError::BadShardCount { requested: shards });
-            }
-        }
         if self.eviction_max_scan == 0 {
             return Err(ConfigError::BadMaxScan { requested: 0 });
         }
         if self.max_batch == 0 {
             return Err(ConfigError::BadMaxBatch { requested: 0 });
         }
-        if let Some(lanes) = self.lanes {
-            if lanes == 0 || lanes > aipow_crypto::MAX_LANES {
-                return Err(ConfigError::BadVerifyLanes { requested: lanes });
-            }
-        }
-        if let Some(t) = self.bypass_threshold {
-            if !t.is_finite() || !(0.0..=10.0).contains(&t) {
-                return Err(ConfigError::BadBypassThreshold { value: t });
-            }
-        }
-        if let Some(t) = self.memory_hard_above {
-            if !t.is_finite() || !(0.0..=10.0).contains(&t) {
-                return Err(ConfigError::BadRoutingThreshold { value: t });
-            }
-        }
-        if let Some(mib) = self.memory_hard_arena_mib {
-            if !aipow_crypto::memmix::validate_arena_mib(mib) {
-                return Err(ConfigError::BadArenaMib { requested: mib });
-            }
-        }
-        if self.trace_sample_rate > 0 && self.flight_recorder_capacity == 0 {
-            return Err(ConfigError::ZeroCapacity {
-                field: "flight recorder",
-            });
-        }
-        if let Some(online) = &self.online {
-            online.validate()?;
-        }
 
+        // Each optional knob is checked and handed to the builder in one
+        // place, so a bound cannot be validated and then not applied.
         let mut builder = FrameworkBuilder::new()
             .policy_boxed(policy)
             .ttl_ms(self.ttl_ms)
@@ -462,22 +412,43 @@ impl FrameworkConfig {
             .ledger_capacity(self.ledger_capacity)
             .eviction_max_scan(self.eviction_max_scan)
             .max_batch(self.max_batch);
-        if let Some(t) = self.bypass_threshold {
-            builder = builder.bypass_threshold(t);
-        }
+        let is_score = |t: f64| t.is_finite() && (0.0..=10.0).contains(&t);
         if let Some(shards) = self.shard_count {
+            if shards == 0 || shards > aipow_shard::MAX_SHARDS {
+                return Err(ConfigError::BadShardCount { requested: shards });
+            }
             builder = builder.shard_count(shards);
         }
         if let Some(lanes) = self.lanes {
+            if lanes == 0 || lanes > aipow_crypto::MAX_LANES {
+                return Err(ConfigError::BadVerifyLanes { requested: lanes });
+            }
             builder = builder.lanes(lanes);
         }
+        if let Some(t) = self.bypass_threshold {
+            if !is_score(t) {
+                return Err(ConfigError::BadBypassThreshold { value: t });
+            }
+            builder = builder.bypass_threshold(t);
+        }
         if let Some(t) = self.memory_hard_above {
+            if !is_score(t) {
+                return Err(ConfigError::BadRoutingThreshold { value: t });
+            }
             builder = builder.route_memory_hard_above(t);
         }
         if let Some(mib) = self.memory_hard_arena_mib {
+            if !aipow_crypto::memmix::validate_arena_mib(mib) {
+                return Err(ConfigError::BadArenaMib { requested: mib });
+            }
             builder = builder.memory_hard_arena_mib(mib);
         }
         if self.trace_sample_rate > 0 {
+            if self.flight_recorder_capacity == 0 {
+                return Err(ConfigError::ZeroCapacity {
+                    field: "flight recorder",
+                });
+            }
             builder = builder.tracer(Arc::new(Tracer::new(TraceConfig {
                 sample_every: self.trace_sample_rate,
                 ring_capacity: self.flight_recorder_capacity,
@@ -824,11 +795,9 @@ mod tests {
 
     #[test]
     fn online_settings_validate_through_config() {
-        let good = FrameworkConfig {
-            online: Some(OnlineSettings::default()),
-            ..Default::default()
-        };
-        assert!(good.apply().is_ok());
+        // The name predates `FrameworkConfig::online`'s removal: the
+        // settings now validate where they are consumed.
+        assert!(OnlineSettings::default().validate().is_ok());
 
         for bad in [
             OnlineSettings {
@@ -864,12 +833,8 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let config = FrameworkConfig {
-                online: Some(bad.clone()),
-                ..Default::default()
-            };
             assert!(
-                config.apply().is_err(),
+                bad.validate().is_err(),
                 "settings should be rejected: {bad:?}"
             );
         }

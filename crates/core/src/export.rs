@@ -3,168 +3,48 @@
 //!
 //! Both renderers are hand-rolled — the workspace's vendored `serde` is
 //! derive-only (no JSON backend), and the exposition formats are small
-//! enough that a dependency would cost more than it saves. Output is
-//! deterministic: map-backed sections are emitted in sorted key order so
-//! two snapshots with equal contents render byte-identically.
+//! enough that a dependency would cost more than it saves. Every scalar
+//! comes from the one table in [`crate::metrics::SCALAR_METRICS`]; only
+//! the two labelled families (per-reason rejections, per-stage timings)
+//! are written out here. Output is deterministic: map-backed sections
+//! are emitted in sorted key order so two snapshots with equal contents
+//! render byte-identically.
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Metric, MetricsSnapshot, SCALAR_METRICS};
 use std::fmt::Write as _;
 
 /// Renders a snapshot as a single JSON object.
 ///
-/// The shape mirrors [`MetricsSnapshot`] field-for-field:
-/// `rejected_by_reason` becomes a nested object (sorted by reason) and
-/// `stage_timings` an array of per-stage objects, in pipeline order.
+/// Every [`SCALAR_METRICS`] row becomes a `"name":value` member, in
+/// table order; `rejected_by_reason` follows as a nested object (sorted
+/// by reason) and `stage_timings` as an array of per-stage objects, in
+/// pipeline order.
 ///
 /// ```
-/// use aipow_core::{export, FrameworkMetrics};
+/// use aipow_core::{export, metrics::SCALAR_METRICS, FrameworkMetrics};
 /// let json = export::snapshot_json(&FrameworkMetrics::new().snapshot());
 /// assert!(json.starts_with('{') && json.ends_with('}'));
-/// assert!(json.contains("\"challenges_issued\":0"));
+/// for (name, _) in SCALAR_METRICS {
+///     assert!(json.contains(&format!("\"{name}\":0")), "{name}");
+/// }
 /// ```
 pub fn snapshot_json(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(1_024);
     out.push('{');
-    let mut first = true;
-    let mut field = |out: &mut String, key: &str, value: &str| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{key}\":{value}");
-    };
-
-    field(
-        &mut out,
-        "challenges_issued",
-        &snap.challenges_issued.to_string(),
-    );
-    field(
-        &mut out,
-        "solutions_accepted",
-        &snap.solutions_accepted.to_string(),
-    );
-    field(
-        &mut out,
-        "solutions_rejected",
-        &snap.solutions_rejected.to_string(),
-    );
-    field(&mut out, "bypassed", &snap.bypassed.to_string());
-
-    let mut reasons: Vec<(&String, &u64)> = snap.rejected_by_reason.iter().collect();
-    reasons.sort_by_key(|(reason, _)| reason.as_str());
-    let mut reason_obj = String::from("{");
-    for (i, (reason, count)) in reasons.iter().enumerate() {
-        if i > 0 {
-            reason_obj.push(',');
-        }
-        let _ = write!(reason_obj, "\"{}\":{}", escape_json(reason), count);
+    for (name, read) in SCALAR_METRICS {
+        let _ = write!(out, "\"{name}\":{},", render(read(snap)));
     }
-    reason_obj.push('}');
-    field(&mut out, "rejected_by_reason", &reason_obj);
-
-    field(
-        &mut out,
-        "median_issued_difficulty",
-        &snap.median_issued_difficulty.to_string(),
-    );
-    field(
-        &mut out,
-        "max_issued_difficulty",
-        &snap.max_issued_difficulty.to_string(),
-    );
-    field(&mut out, "replay_shards", &snap.replay_shards.to_string());
-    field(&mut out, "audit_shards", &snap.audit_shards.to_string());
-    field(&mut out, "ledger_shards", &snap.ledger_shards.to_string());
-    field(
-        &mut out,
-        "replay_evicted_live",
-        &snap.replay_evicted_live.to_string(),
-    );
-    field(
-        &mut out,
-        "behavior_tracked",
-        &snap.behavior_tracked.to_string(),
-    );
-    field(
-        &mut out,
-        "behavior_sweeps",
-        &snap.behavior_sweeps.to_string(),
-    );
-    field(
-        &mut out,
-        "behavior_pruned",
-        &snap.behavior_pruned.to_string(),
-    );
-    field(&mut out, "accept_errors", &snap.accept_errors.to_string());
-    field(
-        &mut out,
-        "accept_backoff_ms",
-        &snap.accept_backoff_ms.to_string(),
-    );
-    field(&mut out, "rate_limited", &snap.rate_limited.to_string());
-    field(
-        &mut out,
-        "open_connections",
-        &snap.open_connections.to_string(),
-    );
-    field(&mut out, "accepted_total", &snap.accepted_total.to_string());
-    field(&mut out, "reaped_idle", &snap.reaped_idle.to_string());
-    field(
-        &mut out,
-        "per_ip_cap_rejections",
-        &snap.per_ip_cap_rejections.to_string(),
-    );
-    field(
-        &mut out,
-        "max_conn_rejections",
-        &snap.max_conn_rejections.to_string(),
-    );
-    field(
-        &mut out,
-        "outbound_overflow_closes",
-        &snap.outbound_overflow_closes.to_string(),
-    );
-    field(
-        &mut out,
-        "reactor_wakeups",
-        &snap.reactor_wakeups.to_string(),
-    );
-    field(
-        &mut out,
-        "reactor_ready_events",
-        &snap.reactor_ready_events.to_string(),
-    );
-    field(
-        &mut out,
-        "ready_events_per_wakeup",
-        &json_f64(snap.ready_events_per_wakeup),
-    );
-    field(
-        &mut out,
-        "replay_rejects_per_s",
-        &json_f64(snap.replay_rejects_per_s),
-    );
-    field(
-        &mut out,
-        "rate_limited_per_s",
-        &json_f64(snap.rate_limited_per_s),
-    );
-    field(
-        &mut out,
-        "rejections_per_s",
-        &json_f64(snap.rejections_per_s),
-    );
-    field(&mut out, "accepts_per_s", &json_f64(snap.accepts_per_s));
-
-    let mut stages = String::from("[");
+    out.push_str("\"rejected_by_reason\":{");
+    for (i, (reason, count)) in sorted_reasons(snap).into_iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{}\":{count}", escape_json(reason));
+    }
+    out.push_str("},\"stage_timings\":[");
     for (i, t) in snap.stage_timings.iter().enumerate() {
-        if i > 0 {
-            stages.push(',');
-        }
+        let sep = if i > 0 { "," } else { "" };
         let _ = write!(
-            stages,
-            "{{\"stage\":\"{}\",\"batches\":{},\"items\":{},\"total_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
+            out,
+            "{sep}{{\"stage\":\"{}\",\"batches\":{},\"items\":{},\"total_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
             escape_json(&t.stage),
             t.batches,
             t.items,
@@ -173,120 +53,42 @@ pub fn snapshot_json(snap: &MetricsSnapshot) -> String {
             t.p99_ns
         );
     }
-    stages.push(']');
-    field(&mut out, "stage_timings", &stages);
-
-    out.push('}');
+    out.push_str("]}");
     out
 }
 
 /// Renders a snapshot in the Prometheus text exposition format: one
-/// `# TYPE` comment per family, `aipow_`-prefixed metric names,
-/// `{label="value"}` selectors for the per-reason and per-stage series.
+/// `# TYPE` comment per family, `aipow_`-prefixed metric names (one
+/// unlabelled family per [`SCALAR_METRICS`] row), `{label="value"}`
+/// selectors for the per-reason and per-stage series.
 ///
 /// ```
-/// use aipow_core::{export, FrameworkMetrics};
+/// use aipow_core::{export, metrics::SCALAR_METRICS, FrameworkMetrics};
 /// let text = export::snapshot_prometheus(&FrameworkMetrics::new().snapshot());
-/// assert!(text.contains("# TYPE aipow_challenges_issued counter"));
+/// for (name, _) in SCALAR_METRICS {
+///     assert!(text.contains(&format!("# TYPE aipow_{name} ")), "{name}");
+/// }
 /// assert!(text.lines().all(|l| !l.trim_end().is_empty()));
 /// ```
 pub fn snapshot_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(2_048);
-    let counter = |out: &mut String, name: &str, value: u64| {
-        let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-    };
-    counter(&mut out, "aipow_challenges_issued", snap.challenges_issued);
-    counter(
-        &mut out,
-        "aipow_solutions_accepted",
-        snap.solutions_accepted,
-    );
-    counter(
-        &mut out,
-        "aipow_solutions_rejected",
-        snap.solutions_rejected,
-    );
-    counter(&mut out, "aipow_bypassed", snap.bypassed);
-
-    let mut reasons: Vec<(&String, &u64)> = snap.rejected_by_reason.iter().collect();
-    reasons.sort_by_key(|(reason, _)| reason.as_str());
-    let _ = writeln!(out, "# TYPE aipow_rejections counter");
-    for (reason, count) in reasons {
-        let _ = writeln!(out, "aipow_rejections{{reason=\"{reason}\"}} {count}");
+    for (name, read) in SCALAR_METRICS {
+        let metric = read(snap);
+        let kind = match metric {
+            Metric::Counter(_) => "counter",
+            Metric::Gauge(_) | Metric::Rate(_) => "gauge",
+        };
+        let _ = writeln!(
+            out,
+            "# TYPE aipow_{name} {kind}\naipow_{name} {}",
+            render(metric)
+        );
     }
 
-    let gauge = |out: &mut String, name: &str, value: u64| {
-        let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
-    };
-    gauge(
-        &mut out,
-        "aipow_median_issued_difficulty",
-        snap.median_issued_difficulty,
-    );
-    gauge(
-        &mut out,
-        "aipow_max_issued_difficulty",
-        snap.max_issued_difficulty,
-    );
-    gauge(&mut out, "aipow_replay_shards", snap.replay_shards);
-    gauge(&mut out, "aipow_audit_shards", snap.audit_shards);
-    gauge(&mut out, "aipow_ledger_shards", snap.ledger_shards);
-    gauge(
-        &mut out,
-        "aipow_replay_evicted_live",
-        snap.replay_evicted_live,
-    );
-    gauge(&mut out, "aipow_behavior_tracked", snap.behavior_tracked);
-    counter(&mut out, "aipow_behavior_sweeps", snap.behavior_sweeps);
-    counter(&mut out, "aipow_behavior_pruned", snap.behavior_pruned);
-    counter(&mut out, "aipow_accept_errors", snap.accept_errors);
-    gauge(&mut out, "aipow_accept_backoff_ms", snap.accept_backoff_ms);
-    counter(&mut out, "aipow_rate_limited", snap.rate_limited);
-    gauge(&mut out, "aipow_open_connections", snap.open_connections);
-    counter(&mut out, "aipow_accepted_total", snap.accepted_total);
-    counter(&mut out, "aipow_reaped_idle", snap.reaped_idle);
-    counter(
-        &mut out,
-        "aipow_per_ip_cap_rejections",
-        snap.per_ip_cap_rejections,
-    );
-    counter(
-        &mut out,
-        "aipow_max_conn_rejections",
-        snap.max_conn_rejections,
-    );
-    counter(
-        &mut out,
-        "aipow_outbound_overflow_closes",
-        snap.outbound_overflow_closes,
-    );
-    counter(&mut out, "aipow_reactor_wakeups", snap.reactor_wakeups);
-    counter(
-        &mut out,
-        "aipow_reactor_ready_events",
-        snap.reactor_ready_events,
-    );
-
-    let rate = |out: &mut String, name: &str, value: f64| {
-        let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", prom_f64(value));
-    };
-    rate(
-        &mut out,
-        "aipow_replay_rejects_per_s",
-        snap.replay_rejects_per_s,
-    );
-    rate(
-        &mut out,
-        "aipow_rate_limited_per_s",
-        snap.rate_limited_per_s,
-    );
-    rate(&mut out, "aipow_rejections_per_s", snap.rejections_per_s);
-    rate(&mut out, "aipow_accepts_per_s", snap.accepts_per_s);
-    rate(
-        &mut out,
-        "aipow_ready_events_per_wakeup",
-        snap.ready_events_per_wakeup,
-    );
+    let _ = writeln!(out, "# TYPE aipow_rejections counter");
+    for (reason, count) in sorted_reasons(snap) {
+        let _ = writeln!(out, "aipow_rejections{{reason=\"{reason}\"}} {count}");
+    }
 
     for (name, pick) in [
         ("aipow_stage_batches", 0usize),
@@ -303,6 +105,22 @@ pub fn snapshot_prometheus(snap: &MetricsSnapshot) -> String {
         }
     }
     out
+}
+
+/// The per-reason rejection tallies in sorted label order.
+fn sorted_reasons(snap: &MetricsSnapshot) -> Vec<(&String, &u64)> {
+    let mut reasons: Vec<(&String, &u64)> = snap.rejected_by_reason.iter().collect();
+    reasons.sort_by_key(|(reason, _)| reason.as_str());
+    reasons
+}
+
+/// One scalar's value as both formats write it: integers as-is, rates
+/// through [`json_f64`].
+fn render(metric: Metric) -> String {
+    match metric {
+        Metric::Counter(v) | Metric::Gauge(v) => v.to_string(),
+        Metric::Rate(v) => json_f64(v),
+    }
 }
 
 /// JSON-escapes the characters that can legally appear in a metric label
@@ -331,10 +149,6 @@ fn json_f64(v: f64) -> String {
     // `{:?}` always includes a decimal point or exponent, so the output
     // round-trips as a float rather than collapsing to an int.
     format!("{v:?}")
-}
-
-fn prom_f64(v: f64) -> String {
-    json_f64(v)
 }
 
 #[cfg(test)]
@@ -386,8 +200,9 @@ mod tests {
 
     #[test]
     fn prometheus_parses_line_by_line() {
-        let text = snapshot_prometheus(&populated_snapshot());
-        let mut samples = 0;
+        let snap = populated_snapshot();
+        let text = snapshot_prometheus(&snap);
+        let mut unlabelled = 0;
         for line in text.lines() {
             assert!(!line.trim().is_empty(), "no blank lines");
             if let Some(comment) = line.strip_prefix("# TYPE ") {
@@ -405,27 +220,94 @@ mod tests {
             let name = series.split('{').next().unwrap();
             assert!(name.starts_with("aipow_"), "bad metric name {name}");
             assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-            if let Some(rest) = series.strip_prefix(name) {
-                if !rest.is_empty() {
-                    assert!(
-                        rest.starts_with('{') && rest.ends_with('}'),
-                        "bad labels {rest}"
-                    );
-                    let inner = &rest[1..rest.len() - 1];
-                    let (label, val) = inner.split_once('=').expect("label=value");
-                    assert!(label.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-                    assert!(val.starts_with('"') && val.ends_with('"'));
-                }
+            let rest = series.strip_prefix(name).unwrap();
+            if rest.is_empty() {
+                unlabelled += 1;
+                continue;
             }
-            samples += 1;
+            assert!(
+                rest.starts_with('{') && rest.ends_with('}'),
+                "bad labels {rest}"
+            );
+            let inner = &rest[1..rest.len() - 1];
+            let (label, val) = inner.split_once('=').expect("label=value");
+            assert!(label.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
+            assert!(val.starts_with('"') && val.ends_with('"'));
         }
-        assert!(
-            samples >= 25,
-            "expected a full exposition, got {samples} samples"
-        );
+        // The table is the exposition: every row appears exactly once in
+        // each format, under its own kind, and nothing unlabelled appears
+        // that is not a row.
+        let json = snapshot_json(&snap);
+        for (name, read) in SCALAR_METRICS {
+            let kind = match read(&snap) {
+                Metric::Counter(_) => "counter",
+                Metric::Gauge(_) | Metric::Rate(_) => "gauge",
+            };
+            assert_eq!(json.matches(&format!("\"{name}\":")).count(), 1, "{name}");
+            let family = format!("# TYPE aipow_{name} {kind}\n");
+            assert_eq!(text.matches(&family).count(), 1, "{name}");
+            let sample = format!("\naipow_{name} ");
+            assert_eq!(text.matches(&sample).count(), 1, "{name}");
+        }
+        assert_eq!(unlabelled, SCALAR_METRICS.len());
         assert!(text.contains("aipow_rejections{reason=\"bad_mac\"} 1"));
         assert!(text.contains("aipow_stage_p99_ns{stage=\"score\"}"));
         assert!(text.contains("aipow_accept_errors 1"));
+    }
+
+    /// One `VerifyError` of every variant: adding a variant without a
+    /// label (or a label without a `REJECT_REASONS` slot) fails here
+    /// instead of being silently tallied as `other`.
+    #[test]
+    fn every_verify_error_is_exported_under_its_own_label() {
+        use crate::metrics::{reason_label, REJECT_REASONS};
+        use aipow_pow::{BackendId, Difficulty, VerifyError};
+        let bits = Difficulty::saturating(1);
+        let errors = [
+            VerifyError::UnsupportedVersion { got: 9 },
+            VerifyError::UnknownBackend { got: BackendId(77) },
+            VerifyError::BackendMismatch {
+                challenge: BackendId::SHA256,
+                solution: BackendId::MEMORY_HARD,
+            },
+            VerifyError::InvalidBackendParam { got: 200 },
+            VerifyError::DifficultyTooHigh {
+                got: bits,
+                cap: bits,
+            },
+            VerifyError::BadMac,
+            VerifyError::ClientMismatch,
+            VerifyError::NotYetValid,
+            VerifyError::Expired {
+                expired_at_ms: 1,
+                now_ms: 2,
+            },
+            VerifyError::Replayed,
+            VerifyError::InsufficientWork {
+                got_bits: 1,
+                need_bits: 2,
+            },
+            VerifyError::MalformedNonce,
+        ];
+        // 12 variants + the catch-all.
+        assert_eq!(errors.len() + 1, REJECT_REASONS.len());
+        let m = FrameworkMetrics::new();
+        for err in &errors {
+            let label = reason_label(err);
+            assert!(REJECT_REASONS.contains(&label), "{err:?} → {label}");
+            assert_ne!(label, "other", "{err:?}");
+            m.record_rejection(label);
+        }
+        let snap = m.snapshot();
+        assert_eq!(snap.rejected_by_reason.len(), errors.len(), "{snap:?}");
+        let (json, text) = (snapshot_json(&snap), snapshot_prometheus(&snap));
+        for err in &errors {
+            let label = reason_label(err);
+            assert_eq!(snap.rejected_by_reason[label], 1, "{label}");
+            assert!(json.contains(&format!("\"{label}\":1")), "{label}");
+            let sample = format!("aipow_rejections{{reason=\"{label}\"}} 1\n");
+            assert!(text.contains(&sample), "{label}");
+        }
     }
 
     #[test]

@@ -263,8 +263,9 @@ impl FrameworkBuilder {
     /// [`Framework::handle_solution_batch`]) push through one pipeline
     /// pass. Larger inputs are processed in chunks of this size, which
     /// bounds how long one batch holds the policy read-lock, the DRBG
-    /// lock, and each audit/ledger shard lock. Clamped to a minimum of 1.
-    /// Defaults to [`DEFAULT_MAX_BATCH`].
+    /// lock, and each audit/ledger shard lock; the TCP server drains up to
+    /// this many pipelined frames per dispatch, so one knob sizes both.
+    /// Clamped to a minimum of 1. Defaults to [`DEFAULT_MAX_BATCH`].
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
         self
@@ -276,22 +277,10 @@ impl FrameworkBuilder {
     /// path). Purely a performance knob — every width computes identical
     /// outcomes. Defaults to auto-detection
     /// ([`aipow_crypto::auto_lanes`]): 8 where the build can use 256-bit
-    /// vectors, else 4.
-    ///
-    /// `lanes` is the one name for this knob across the API surface
-    /// (this builder, `FrameworkConfig::lanes`, `ServerConfig::lanes`,
-    /// the `--lanes` CLI flag, `SolverOptions::lanes`); the former
-    /// builder name survives as the deprecated
-    /// [`verify_lanes`](Self::verify_lanes) alias.
+    /// vectors, else 4. Fixed for the framework's lifetime.
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = Some(lanes);
         self
-    }
-
-    /// Deprecated spelling of [`lanes`](Self::lanes).
-    #[deprecated(note = "renamed to `lanes`; the knob has one name across the API surface")]
-    pub fn verify_lanes(self, lanes: usize) -> Self {
-        self.lanes(lanes)
     }
 
     /// Routes each client to a puzzle backend by reputation score (see
@@ -410,7 +399,7 @@ impl FrameworkBuilder {
             load_millis: AtomicU64::new(0),
             under_attack: AtomicBool::new(false),
             bypass_threshold: self.bypass_threshold,
-            max_batch: self.max_batch.max(1),
+            max_batch: self.max_batch,
             sink,
             tracer,
         })
@@ -1410,27 +1399,6 @@ mod tests {
                 "sol 198.51.100.2 true",
             ]
         );
-    }
-
-    #[test]
-    fn deprecated_lanes_alias_still_builds() {
-        #[allow(deprecated)]
-        let fw = FrameworkBuilder::new()
-            .master_key([9u8; 32])
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .policy(LinearPolicy::policy1())
-            .verify_lanes(4)
-            .build()
-            .unwrap();
-        assert_eq!(fw.verifier().verify_lanes(), 4);
-        let canonical = FrameworkBuilder::new()
-            .master_key([9u8; 32])
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .policy(LinearPolicy::policy1())
-            .lanes(4)
-            .build()
-            .unwrap();
-        assert_eq!(canonical.verifier().verify_lanes(), 4);
     }
 
     #[test]

@@ -2,15 +2,19 @@
 
 use crate::sync::{AtomicU64, Ordering};
 use aipow_metrics::{AtomicHistogram, Counter, Gauge};
+use aipow_pow::VerifyError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// The verifier's stable rejection labels (see
-/// `framework::reason_label`), plus a catch-all. Indexing a fixed array
-/// keeps the rejection path — which an attacker drives at flood rate —
-/// lock-free.
-const REJECT_REASONS: [&str; 10] = [
+/// The verifier's stable rejection labels — one per [`VerifyError`]
+/// variant, as [`reason_label`] spells them — plus a catch-all. Indexing
+/// a fixed array keeps the rejection path — which an attacker drives at
+/// flood rate — lock-free.
+pub(crate) const REJECT_REASONS: [&str; 13] = [
     "unsupported_version",
+    "unknown_backend",
+    "backend_mismatch",
+    "invalid_backend_param",
     "difficulty_too_high",
     "bad_mac",
     "client_mismatch",
@@ -21,6 +25,26 @@ const REJECT_REASONS: [&str; 10] = [
     "malformed_nonce",
     "other",
 ];
+
+/// The rejection label a [`VerifyError`] is tallied under. Every label
+/// returned here must be listed in [`REJECT_REASONS`], or the rejection
+/// is counted as `other`.
+pub(crate) fn reason_label(err: &VerifyError) -> &'static str {
+    match err {
+        VerifyError::UnsupportedVersion { .. } => "unsupported_version",
+        VerifyError::UnknownBackend { .. } => "unknown_backend",
+        VerifyError::BackendMismatch { .. } => "backend_mismatch",
+        VerifyError::InvalidBackendParam { .. } => "invalid_backend_param",
+        VerifyError::DifficultyTooHigh { .. } => "difficulty_too_high",
+        VerifyError::BadMac => "bad_mac",
+        VerifyError::ClientMismatch => "client_mismatch",
+        VerifyError::NotYetValid => "not_yet_valid",
+        VerifyError::Expired { .. } => "expired",
+        VerifyError::Replayed => "replayed",
+        VerifyError::InsufficientWork { .. } => "insufficient_work",
+        VerifyError::MalformedNonce => "malformed_nonce",
+    }
+}
 
 /// Lock-free per-reason rejection tallies.
 #[derive(Debug)]
@@ -232,83 +256,183 @@ impl DifficultyBuckets {
     }
 }
 
-/// Live counters for the admission pipeline. Cheap to update from any
-/// worker thread.
-#[derive(Debug, Default)]
-pub struct FrameworkMetrics {
-    /// Challenges issued (Figure 1, step 4).
-    pub challenges_issued: Counter,
-    /// Solutions verified successfully (step 6).
-    pub solutions_accepted: Counter,
-    /// Solutions rejected, any reason.
-    pub solutions_rejected: Counter,
-    /// Requests admitted without a puzzle (bypass threshold).
-    pub bypassed: Counter,
-    /// Shard count of the replay guard (set once at build; lock-pressure
-    /// observability — saturation of a structure concentrates on
-    /// `1/shards` of the traffic).
-    pub replay_shards: Gauge,
-    /// Shard count of the audit log (set once at build).
-    pub audit_shards: Gauge,
-    /// Shard count of the cost ledger (set once at build).
-    pub ledger_shards: Gauge,
-    /// Live (unexpired) replay entries evicted by the capacity bound —
-    /// nonzero means the guard is undersized and replays became
-    /// theoretically possible. Synced from the guard after every
-    /// verification and by
-    /// [`Framework::metrics_snapshot`](crate::Framework::metrics_snapshot).
-    pub replay_evicted_live: Gauge,
-    /// Clients currently tracked by the online behavior recorder (0 when
-    /// no online loop is attached; refreshed by the decay worker's
-    /// sweep).
-    pub behavior_tracked: Gauge,
-    /// Decay sweeps the online worker has completed.
-    pub behavior_sweeps: Counter,
-    /// Behavior sketches pruned by decay (clients fully forgotten) or
-    /// evicted by the recorder's capacity bound, cumulative.
-    pub behavior_pruned: Counter,
-    /// `accept()` errors the TCP acceptor has absorbed (EMFILE and
-    /// friends). Before this counter an fd-exhaustion event was invisible:
-    /// the acceptor backed off silently.
-    pub accept_errors: Counter,
-    /// The acceptor's current accept-error backoff in milliseconds (0
-    /// while accepting normally; climbs toward the 500 ms cap while
-    /// `accept()` keeps failing).
-    pub accept_backoff_ms: Gauge,
-    /// Requests refused by the per-client rate limiter before reaching
-    /// the framework (the limiter sits in front of the pipeline, so these
-    /// are *not* in `solutions_rejected` or `rejected_by_reason`).
-    pub rate_limited: Counter,
-    /// Connections currently open across all reactor shards.
-    pub open_connections: Gauge,
-    /// Connections admitted past the accept gate, cumulative.
-    pub accepted_total: Counter,
-    /// Connections closed by the idle-deadline reaper.
-    pub reaped_idle: Counter,
-    /// Connections refused at accept because their source IP was at its
-    /// concurrent-connection cap.
-    pub per_ip_cap_rejections: Counter,
-    /// Connections refused at accept because the global
-    /// `max_connections` cap was full.
-    pub max_conn_rejections: Counter,
-    /// Connections closed because their bounded outbound queue
-    /// overflowed (the peer stopped reading its replies).
-    pub outbound_overflow_closes: Counter,
-    /// Reactor poll wakeups (returns from the readiness wait).
-    pub reactor_wakeups: Counter,
-    /// Readiness events delivered across all wakeups. The ratio to
-    /// [`reactor_wakeups`](Self::reactor_wakeups) says how much work each
-    /// wakeup amortizes — near 1 under light load, rising under load as
-    /// one `epoll_wait` return carries many ready connections.
-    pub reactor_ready_events: Counter,
-    /// Rejections keyed by the verifier's reason label (lock-free).
-    rejected_by_reason: RejectionCounts,
-    /// Distribution of issued difficulties in bits (lock-free).
-    issued_difficulty: DifficultyBuckets,
-    /// Per-stage pipeline latency (lock-free).
-    stage_timers: StageTimers,
-    /// State for per-second rate derivation between timed snapshots.
-    rate_window: RateWindow,
+/// One scalar metric as the exporters see it: its exposition kind and
+/// its value in a snapshot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Metric {
+    /// A monotonic total.
+    Counter(u64),
+    /// A point-in-time level.
+    Gauge(u64),
+    /// A derived ratio (per second, per wakeup); exposed as a float gauge.
+    Rate(f64),
+}
+
+/// Declares every scalar metric exactly once. Each row becomes a field
+/// of [`FrameworkMetrics`] (`live` rows only), a field of
+/// [`MetricsSnapshot`], its copy in [`FrameworkMetrics::snapshot`] and
+/// its row in [`SCALAR_METRICS`], which is all the exporters read — so a
+/// new metric is one entry here. A `live` row names its cell type, which
+/// is also its [`Metric`] kind; a `derived` row has no cell and computes
+/// its snapshot value from the metrics it is handed.
+macro_rules! scalar_metrics {
+    // A live cell as the unsigned value a snapshot carries (a gauge that
+    // transiently dipped below zero reads 0).
+    (@read Counter $cell:expr) => { $cell.get() };
+    (@read Gauge $cell:expr) => { $cell.get().max(0) as u64 };
+    (
+        live { $($(#[$live_doc:meta])* $live:ident: $cell:ident,)* }
+        derived { $($(#[$doc:meta])* $derived:ident: $kind:ident($ty:ty) = |$m:ident| $value:expr,)* }
+    ) => {
+        /// Live counters for the admission pipeline. Cheap to update from
+        /// any worker thread.
+        #[derive(Debug, Default)]
+        pub struct FrameworkMetrics {
+            $($(#[$live_doc])* pub $live: $cell,)*
+            /// Rejections keyed by the verifier's reason label (lock-free).
+            rejected_by_reason: RejectionCounts,
+            /// Distribution of issued difficulties in bits (lock-free).
+            issued_difficulty: DifficultyBuckets,
+            /// Per-stage pipeline latency (lock-free).
+            stage_timers: StageTimers,
+            /// State for per-second rate derivation between timed snapshots.
+            rate_window: RateWindow,
+        }
+
+        /// A serializable point-in-time view of [`FrameworkMetrics`].
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $($(#[$live_doc])* pub $live: u64,)*
+            $($(#[$doc])* pub $derived: $ty,)*
+            /// Rejections by reason label (labels with nonzero counts).
+            pub rejected_by_reason: HashMap<String, u64>,
+            /// Per-stage pipeline latency, in chain order, for stages that
+            /// have run (wall-clock totals — two runs of the same workload
+            /// report different nanosecond counts, so equality comparisons
+            /// of whole snapshots should expect that).
+            pub stage_timings: Vec<StageTiming>,
+        }
+
+        impl FrameworkMetrics {
+            /// Takes a snapshot for reporting. Each field is an atomic
+            /// read; fields racing with concurrent updates may be offset
+            /// from each other by in-flight operations. Per-second rates
+            /// are 0.0 here; use [`FrameworkMetrics::snapshot_at`] to
+            /// derive them.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($live: scalar_metrics!(@read $cell self.$live),)*
+                    $($derived: {
+                        let $m = self;
+                        $value
+                    },)*
+                    rejected_by_reason: self.rejected_by_reason.snapshot(),
+                    stage_timings: self.stage_timers.snapshot(),
+                }
+            }
+        }
+
+        /// Every scalar metric, in exposition order: its name and how to
+        /// read it from a snapshot. Both exporters iterate this.
+        pub const SCALAR_METRICS: &[(&str, fn(&MetricsSnapshot) -> Metric)] = &[
+            $((stringify!($live), |s| Metric::$cell(s.$live)),)*
+            $((stringify!($derived), |s| Metric::$kind(s.$derived)),)*
+        ];
+    };
+}
+
+scalar_metrics! {
+    live {
+        /// Challenges issued (Figure 1, step 4).
+        challenges_issued: Counter,
+        /// Solutions verified successfully (step 6).
+        solutions_accepted: Counter,
+        /// Solutions rejected, any reason.
+        solutions_rejected: Counter,
+        /// Requests admitted without a puzzle (bypass threshold).
+        bypassed: Counter,
+        /// Shard count of the replay guard (set once at build;
+        /// lock-pressure observability — saturation of a structure
+        /// concentrates on `1/shards` of the traffic).
+        replay_shards: Gauge,
+        /// Shard count of the audit log (set once at build).
+        audit_shards: Gauge,
+        /// Shard count of the cost ledger (set once at build).
+        ledger_shards: Gauge,
+        /// Live (unexpired) replay entries evicted by the capacity bound
+        /// — nonzero means the guard is undersized and replays became
+        /// theoretically possible (alarm signal). Synced from the guard
+        /// after every verification and by
+        /// [`Framework::metrics_snapshot`](crate::Framework::metrics_snapshot).
+        replay_evicted_live: Gauge,
+        /// Clients currently tracked by the online behavior recorder (0
+        /// when no online loop is attached; refreshed by the decay
+        /// worker's sweep).
+        behavior_tracked: Gauge,
+        /// Decay sweeps the online worker has completed.
+        behavior_sweeps: Counter,
+        /// Behavior sketches pruned by decay (clients fully forgotten) or
+        /// evicted by the recorder's capacity bound, cumulative.
+        behavior_pruned: Counter,
+        /// `accept()` errors the TCP acceptor has absorbed (EMFILE and
+        /// friends). Before this counter an fd-exhaustion event was
+        /// invisible: the acceptor backed off silently.
+        accept_errors: Counter,
+        /// The acceptor's current accept-error backoff in milliseconds (0
+        /// while accepting normally; climbs toward the 500 ms cap while
+        /// `accept()` keeps failing).
+        accept_backoff_ms: Gauge,
+        /// Requests refused by the per-client rate limiter before
+        /// reaching the framework (the limiter sits in front of the
+        /// pipeline, so these are *not* in `solutions_rejected` or
+        /// `rejected_by_reason`).
+        rate_limited: Counter,
+        /// Connections currently open across all reactor shards.
+        open_connections: Gauge,
+        /// Connections admitted past the accept gate, cumulative.
+        accepted_total: Counter,
+        /// Connections closed by the idle-deadline reaper.
+        reaped_idle: Counter,
+        /// Connections refused at accept because their source IP was at
+        /// its concurrent-connection cap.
+        per_ip_cap_rejections: Counter,
+        /// Connections refused at accept because the global
+        /// `max_connections` cap was full.
+        max_conn_rejections: Counter,
+        /// Connections closed because their bounded outbound queue
+        /// overflowed (the peer stopped reading its replies).
+        outbound_overflow_closes: Counter,
+        /// Reactor poll wakeups (returns from the readiness wait).
+        reactor_wakeups: Counter,
+        /// Readiness events delivered across all wakeups. The ratio to
+        /// [`reactor_wakeups`](Self::reactor_wakeups) says how much work
+        /// each wakeup amortizes — near 1 under light load, rising under
+        /// load as one `epoll_wait` return carries many ready connections.
+        reactor_ready_events: Counter,
+    }
+    derived {
+        /// Median issued difficulty in bits.
+        median_issued_difficulty: Gauge(u64) = |m| m.issued_difficulty.median(),
+        /// Maximum issued difficulty in bits.
+        max_issued_difficulty: Gauge(u64) = |m| m.issued_difficulty.max(),
+        /// Lifetime average of ready events delivered per wakeup (0.0
+        /// before the first wakeup) — the reactor's batching leverage.
+        ready_events_per_wakeup: Rate(f64) = |m| match m.reactor_wakeups.get() {
+            0 => 0.0,
+            wakeups => m.reactor_ready_events.get() as f64 / wakeups as f64,
+        },
+        /// Replay rejections per second over the last snapshot window
+        /// (0.0 outside [`FrameworkMetrics::snapshot_at`], like every
+        /// `_per_s` rate).
+        replay_rejects_per_s: Rate(f64) = |_m| 0.0,
+        /// Rate-limiter refusals per second over the last snapshot window.
+        rate_limited_per_s: Rate(f64) = |_m| 0.0,
+        /// All rejections per second (verifier rejections + rate-limiter
+        /// refusals) over the last snapshot window.
+        rejections_per_s: Rate(f64) = |_m| 0.0,
+        /// Connections admitted per second over the last snapshot window.
+        accepts_per_s: Rate(f64) = |_m| 0.0,
+    }
 }
 
 /// Remembers the totals seen by the previous timed snapshot so
@@ -405,126 +529,6 @@ impl FrameworkMetrics {
         }
         snap
     }
-
-    /// Takes a snapshot for reporting. Each field is an atomic read;
-    /// fields racing with concurrent updates may be offset from each
-    /// other by in-flight operations. Per-second rates are 0.0 here; use
-    /// [`FrameworkMetrics::snapshot_at`] to derive them.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            challenges_issued: self.challenges_issued.get(),
-            solutions_accepted: self.solutions_accepted.get(),
-            solutions_rejected: self.solutions_rejected.get(),
-            bypassed: self.bypassed.get(),
-            rejected_by_reason: self.rejected_by_reason.snapshot(),
-            median_issued_difficulty: self.issued_difficulty.median(),
-            max_issued_difficulty: self.issued_difficulty.max(),
-            replay_shards: self.replay_shards.get().max(0) as u64,
-            audit_shards: self.audit_shards.get().max(0) as u64,
-            ledger_shards: self.ledger_shards.get().max(0) as u64,
-            replay_evicted_live: self.replay_evicted_live.get().max(0) as u64,
-            behavior_tracked: self.behavior_tracked.get().max(0) as u64,
-            behavior_sweeps: self.behavior_sweeps.get(),
-            behavior_pruned: self.behavior_pruned.get(),
-            accept_errors: self.accept_errors.get(),
-            accept_backoff_ms: self.accept_backoff_ms.get().max(0) as u64,
-            rate_limited: self.rate_limited.get(),
-            open_connections: self.open_connections.get().max(0) as u64,
-            accepted_total: self.accepted_total.get(),
-            reaped_idle: self.reaped_idle.get(),
-            per_ip_cap_rejections: self.per_ip_cap_rejections.get(),
-            max_conn_rejections: self.max_conn_rejections.get(),
-            outbound_overflow_closes: self.outbound_overflow_closes.get(),
-            reactor_wakeups: self.reactor_wakeups.get(),
-            reactor_ready_events: self.reactor_ready_events.get(),
-            ready_events_per_wakeup: {
-                let wakeups = self.reactor_wakeups.get();
-                if wakeups == 0 {
-                    0.0
-                } else {
-                    self.reactor_ready_events.get() as f64 / wakeups as f64
-                }
-            },
-            replay_rejects_per_s: 0.0,
-            rate_limited_per_s: 0.0,
-            rejections_per_s: 0.0,
-            accepts_per_s: 0.0,
-            stage_timings: self.stage_timers.snapshot(),
-        }
-    }
-}
-
-/// A serializable point-in-time view of [`FrameworkMetrics`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Challenges issued.
-    pub challenges_issued: u64,
-    /// Solutions accepted.
-    pub solutions_accepted: u64,
-    /// Solutions rejected.
-    pub solutions_rejected: u64,
-    /// Bypass admissions.
-    pub bypassed: u64,
-    /// Rejections by reason label.
-    pub rejected_by_reason: HashMap<String, u64>,
-    /// Median issued difficulty in bits.
-    pub median_issued_difficulty: u64,
-    /// Maximum issued difficulty in bits.
-    pub max_issued_difficulty: u64,
-    /// Shard count of the replay guard.
-    pub replay_shards: u64,
-    /// Shard count of the audit log.
-    pub audit_shards: u64,
-    /// Shard count of the cost ledger.
-    pub ledger_shards: u64,
-    /// Live replay entries evicted by the capacity bound (alarm signal).
-    pub replay_evicted_live: u64,
-    /// Clients tracked by the online behavior recorder.
-    pub behavior_tracked: u64,
-    /// Decay sweeps completed by the online worker.
-    pub behavior_sweeps: u64,
-    /// Behavior sketches pruned by decay or capacity eviction.
-    pub behavior_pruned: u64,
-    /// TCP `accept()` errors absorbed by the acceptor's backoff loop.
-    pub accept_errors: u64,
-    /// The acceptor's current accept-error backoff (ms; 0 = healthy).
-    pub accept_backoff_ms: u64,
-    /// Requests refused by the per-client rate limiter (total).
-    pub rate_limited: u64,
-    /// Connections currently open across all reactor shards.
-    pub open_connections: u64,
-    /// Connections admitted past the accept gate, cumulative.
-    pub accepted_total: u64,
-    /// Connections closed by the idle-deadline reaper.
-    pub reaped_idle: u64,
-    /// Accept-time refusals by the per-IP concurrent-connection cap.
-    pub per_ip_cap_rejections: u64,
-    /// Accept-time refusals by the global connection cap.
-    pub max_conn_rejections: u64,
-    /// Connections closed for outbound-queue overflow (slow readers).
-    pub outbound_overflow_closes: u64,
-    /// Reactor poll wakeups.
-    pub reactor_wakeups: u64,
-    /// Readiness events delivered across all wakeups.
-    pub reactor_ready_events: u64,
-    /// Lifetime average of ready events delivered per wakeup (0.0 before
-    /// the first wakeup) — the reactor's batching leverage.
-    pub ready_events_per_wakeup: f64,
-    /// Replay rejections per second over the last snapshot window (0.0
-    /// outside [`FrameworkMetrics::snapshot_at`]).
-    pub replay_rejects_per_s: f64,
-    /// Rate-limiter refusals per second over the last snapshot window.
-    pub rate_limited_per_s: f64,
-    /// All rejections per second (verifier rejections + rate-limiter
-    /// refusals) over the last snapshot window.
-    pub rejections_per_s: f64,
-    /// Connections admitted per second over the last snapshot window.
-    pub accepts_per_s: f64,
-    /// Per-stage pipeline latency, in chain order, for stages that have
-    /// run (wall-clock totals — two runs of the same workload report
-    /// different nanosecond counts, so equality comparisons of whole
-    /// snapshots should expect that).
-    pub stage_timings: Vec<StageTiming>,
 }
 
 #[cfg(test)]

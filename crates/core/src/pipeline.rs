@@ -57,6 +57,7 @@
 //! two paths.
 
 use crate::framework::{AdmissionDecision, Framework, IssuedChallenge};
+use crate::metrics::reason_label;
 use crate::sync::Ordering;
 use crate::tap::{RequestObservation, SolutionObservation};
 use crate::AuditKind;
@@ -746,24 +747,6 @@ impl AdmissionStage<SolutionCtx<'_>> for SolutionTelemetryStage {
             sink.on_solution_batch(now_ms, &observations);
         }
         batch.len()
-    }
-}
-
-/// Stable labels for rejection metrics.
-pub(crate) fn reason_label(err: &VerifyError) -> &'static str {
-    match err {
-        VerifyError::UnsupportedVersion { .. } => "unsupported_version",
-        VerifyError::DifficultyTooHigh { .. } => "difficulty_too_high",
-        VerifyError::BadMac => "bad_mac",
-        VerifyError::ClientMismatch => "client_mismatch",
-        VerifyError::NotYetValid => "not_yet_valid",
-        VerifyError::Expired { .. } => "expired",
-        VerifyError::Replayed => "replayed",
-        VerifyError::InsufficientWork { .. } => "insufficient_work",
-        VerifyError::MalformedNonce => "malformed_nonce",
-        VerifyError::UnknownBackend { .. } => "unknown_backend",
-        VerifyError::BackendMismatch { .. } => "backend_mismatch",
-        VerifyError::InvalidBackendParam { .. } => "invalid_backend_param",
     }
 }
 

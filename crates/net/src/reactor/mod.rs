@@ -93,7 +93,6 @@ pub(crate) struct ReactorShared {
     pub limiter: Arc<Option<RateLimiter>>,
     pub gate: Arc<AcceptGate>,
     pub shutdown: Arc<AtomicBool>,
-    pub max_batch: usize,
     /// Idle reap deadline; `Duration::ZERO` disables reaping.
     pub idle_timeout: Duration,
     /// Per-connection outbound queue bound in bytes.
@@ -491,6 +490,7 @@ impl Shard {
             return self.drain_condemned(conn);
         }
         let metrics = self.shared.framework.metrics();
+        let max_batch = self.shared.framework.max_batch();
         let mut budget = READ_BUDGET;
         let mut saw_eof = false;
         let mut buf = [0u8; READ_CHUNK];
@@ -514,7 +514,7 @@ impl Shard {
         loop {
             let mut frames = Vec::new();
             let mut decode_err: Option<DecodeError> = None;
-            while frames.len() < self.shared.max_batch {
+            while frames.len() < max_batch {
                 match conn.core.assembler.next_frame() {
                     Ok(Some(msg)) => frames.push(msg),
                     Ok(None) => break,
@@ -524,7 +524,7 @@ impl Shard {
                     }
                 }
             }
-            let batch_full = frames.len() >= self.shared.max_batch;
+            let batch_full = frames.len() >= max_batch;
             if !frames.is_empty() {
                 let replies = dispatch_frames(
                     frames,

@@ -17,7 +17,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Server tuning knobs.
+/// The connection layer's own tuning knobs. The frames drained per
+/// dispatch ([`max_batch`](aipow_core::FrameworkBuilder::max_batch)) and
+/// the verifier's [`lanes`](aipow_core::FrameworkBuilder::lanes) belong
+/// to the framework and are fixed when it is built.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Ceiling on concurrently open connections across all reactor
@@ -30,11 +33,9 @@ pub struct ServerConfig {
     /// saturates its own cap and nothing else — other peers' slots and
     /// latency are unaffected.
     pub per_ip_connection_cap: usize,
-    /// Connections with no inbound traffic for this long are reaped.
-    /// `Duration::ZERO` disables idle reaping. Replaces the old
-    /// per-connection blocking `read_timeout`: the reactor never blocks
-    /// in a read, so idleness is a deadline-wheel sweep, not a stuck
-    /// thread.
+    /// Connections with no inbound traffic for this long are reaped (a
+    /// deadline-wheel sweep; the reactor never blocks in a read).
+    /// `Duration::ZERO` disables idle reaping.
     pub idle_timeout: Duration,
     /// Reactor shard (thread) count; `None` picks the machine's
     /// available parallelism, capped at 8. Shard 0 owns the listener and
@@ -68,27 +69,6 @@ pub struct ServerConfig {
     /// inflict on the admission path, independent of
     /// `rate_limit_max_clients`.
     pub rate_limit_max_scan: usize,
-    /// Maximum pipelined frames dispatched through the framework's batch
-    /// admission path (`handle_request_batch` / `handle_solution_batch`)
-    /// per group. A client that writes k requests back-to-back gets them
-    /// admitted in one pipeline pass — one clock reading, one policy
-    /// read-lock, one audit shard-lock acquisition per shard — instead
-    /// of k. Replies are written in frame order either way; 1 disables
-    /// batching (every frame dispatched alone). Clamped to a minimum
-    /// of 1.
-    pub max_batch: usize,
-    /// Lane width for the verifier's multi-buffer SHA-256 kernel, applied
-    /// to the framework at server start (`Verifier::set_verify_lanes`).
-    /// `None` (the default) leaves the framework's setting — normally
-    /// hardware auto-detection — untouched; explicit values are clamped
-    /// to `[1, 8]`, with 1 forcing scalar verification. Purely a
-    /// performance knob: every width computes identical outcomes.
-    ///
-    /// Formerly named `verify_lanes`; `lanes` is the one name for this
-    /// knob across the API surface (`FrameworkConfig::lanes`,
-    /// `FrameworkBuilder::lanes`, the `--lanes` CLI flag,
-    /// `SolverOptions::lanes`).
-    pub lanes: Option<usize>,
     /// Online behavioral-reputation loop. When set, the server attaches a
     /// behavior recorder to the framework's tap, serves model features
     /// from the live blending source (the `features` argument to
@@ -118,8 +98,6 @@ impl Default for ServerConfig {
             rate_limit_max_clients: 65_536,
             rate_limit_shards: None,
             rate_limit_max_scan: aipow_core::sharded::DEFAULT_MAX_SCAN,
-            max_batch: aipow_core::framework::DEFAULT_MAX_BATCH,
-            lanes: None,
             online: None,
         }
     }
@@ -178,10 +156,6 @@ impl PowServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let resources = Arc::new(resources);
 
-        if let Some(lanes) = config.lanes {
-            framework.verifier().set_verify_lanes(lanes);
-        }
-
         // Online loop: the caller's feature source becomes the cold-start
         // prior, and live features are served from the blending source.
         // Bad settings and a pre-existing behavior sink both reject the
@@ -235,7 +209,6 @@ impl PowServer {
             limiter,
             gate: Arc::clone(&gate),
             shutdown: Arc::clone(&shutdown),
-            max_batch: config.max_batch.max(1),
             idle_timeout: config.idle_timeout,
             outbound_limit: config.outbound_queue_bytes.max(OUTBOUND_QUEUE_FLOOR),
             epoch: std::time::Instant::now(),
@@ -318,15 +291,18 @@ mod tests {
     use aipow_wire::{read_message, write_message, Message, RejectCode};
     use std::net::TcpStream;
 
+    fn test_builder(score: f64) -> FrameworkBuilder {
+        FrameworkBuilder::new()
+            .master_key([3u8; 32])
+            .model(FixedScoreModel::new(ReputationScore::new(score).unwrap()))
+            .policy(LinearPolicy::policy1())
+    }
+
     fn test_server(score: f64, config: ServerConfig) -> PowServer {
-        let framework = Arc::new(
-            FrameworkBuilder::new()
-                .master_key([3u8; 32])
-                .model(FixedScoreModel::new(ReputationScore::new(score).unwrap()))
-                .policy(LinearPolicy::policy1())
-                .build()
-                .unwrap(),
-        );
+        start_on(Arc::new(test_builder(score).build().unwrap()), config)
+    }
+
+    fn start_on(framework: Arc<Framework>, config: ServerConfig) -> PowServer {
         let features = Arc::new(StaticFeatureSource::new(FeatureVector::zeros()));
         let mut resources = HashMap::new();
         resources.insert("/r".to_string(), b"payload".to_vec());
@@ -338,31 +314,6 @@ mod tests {
         let server = test_server(0.0, ServerConfig::default());
         let addr = server.local_addr();
         assert_ne!(addr.port(), 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn lanes_config_is_applied_at_start() {
-        let framework = Arc::new(
-            FrameworkBuilder::new()
-                .master_key([3u8; 32])
-                .model(FixedScoreModel::new(ReputationScore::MIN))
-                .policy(LinearPolicy::policy1())
-                .build()
-                .unwrap(),
-        );
-        let server = PowServer::start(
-            "127.0.0.1:0",
-            Arc::clone(&framework),
-            Arc::new(StaticFeatureSource::new(FeatureVector::zeros())),
-            HashMap::new(),
-            ServerConfig {
-                lanes: Some(4),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(framework.verifier().verify_lanes(), 4);
         server.shutdown();
     }
 
@@ -587,13 +538,8 @@ mod tests {
     #[test]
     fn pipelined_frames_are_batched_and_replied_in_order() {
         use std::io::Write;
-        let server = test_server(
-            0.0,
-            ServerConfig {
-                max_batch: 8,
-                ..Default::default()
-            },
-        );
+        let framework = test_builder(0.0).max_batch(8).build().unwrap();
+        let server = start_on(Arc::new(framework), ServerConfig::default());
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // Write a pipelined burst in one TCP segment: 3 requests, a
         // ping, and a not-found, without reading between writes.
@@ -623,6 +569,32 @@ mod tests {
             Message::Rejected { code, .. } => assert_eq!(code, RejectCode::NotFound),
             other => panic!("expected not-found, got {other:?}"),
         }
+        server.shutdown();
+    }
+
+    /// The reactor's drain size is the framework's `max_batch` — one
+    /// knob, one owner: a 128-deep pipelined burst against a framework
+    /// built with `max_batch(128)` is admitted in one pipeline pass.
+    #[test]
+    fn reactor_drains_the_frameworks_max_batch() {
+        use std::io::Write;
+        let framework = Arc::new(test_builder(0.0).max_batch(128).build().unwrap());
+        let server = start_on(Arc::clone(&framework), ServerConfig::default());
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        // One write: the burst lands in the socket buffer whole, so the
+        // reactor's first read sees all 128 frames.
+        let burst: Vec<u8> = (0..128)
+            .flat_map(|_| aipow_wire::encode(&Message::RequestResource { path: "/r".into() }))
+            .collect();
+        stream.write_all(&burst).unwrap();
+        for i in 0..128 {
+            match read_message(&mut stream).unwrap() {
+                Message::ChallengeIssued { .. } => {}
+                other => panic!("frame {i}: expected challenge, got {other:?}"),
+            }
+        }
+        let score = &framework.metrics().snapshot().stage_timings[0];
+        assert_eq!((score.items, score.batches), (128, 1), "{score:?}");
         server.shutdown();
     }
 

@@ -91,6 +91,6 @@ pub use source::BehavioralFeatureSource;
 pub use worker::{AttachError, OnlineLoop, SweepReport};
 
 // The settings type lives in `aipow-core` (so it can ride in
-// `FrameworkConfig`/`ServerConfig` as plain data); re-export it here as
-// the crate's canonical configuration.
+// `ServerConfig` as plain data); re-export it here as the crate's
+// canonical configuration.
 pub use aipow_core::OnlineSettings;

@@ -103,7 +103,7 @@ impl Issuer {
     ///
     /// Panics if `backend` is not registered or rejects `param`; issuance
     /// parameters are server configuration, validated up front
-    /// (`FrameworkConfig::validate` in `aipow-core` does so with a typed
+    /// (`FrameworkConfig::apply` in `aipow-core` does so with a typed
     /// error before reaching this).
     pub fn with_backend_param(mut self, backend: BackendId, param: u8) -> Self {
         let registered = self

@@ -23,7 +23,6 @@ use aipow_crypto::sha256::Digest;
 use aipow_crypto::{ct, sha256_wide};
 use core::fmt;
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default tolerated forward clock skew between issuance and verification
@@ -194,10 +193,10 @@ pub struct Verifier {
     registry: Arc<BackendRegistry>,
     /// Lane width for batched hash work (MACs and work digests) in
     /// [`PreparedVerify::verify_many`]: 1 forces the scalar path, 4/8
-    /// select the multi-buffer kernel width. Atomic so a server can
-    /// apply configuration to an already-shared verifier; it is a
-    /// performance knob only — every width computes identical results.
-    verify_lanes: AtomicUsize,
+    /// select the multi-buffer kernel width. Set once at construction
+    /// ([`with_verify_lanes`](Self::with_verify_lanes)); a performance
+    /// knob only — every width computes identical results.
+    verify_lanes: usize,
 }
 
 impl Verifier {
@@ -217,7 +216,7 @@ impl Verifier {
             max_skew_ms: DEFAULT_MAX_SKEW_MS,
             difficulty_cap: Difficulty::saturating(40),
             registry: Arc::new(BackendRegistry::standard()),
-            verify_lanes: AtomicUsize::new(sha256_wide::auto_lanes()),
+            verify_lanes: sha256_wide::auto_lanes(),
         }
     }
 
@@ -250,23 +249,13 @@ impl Verifier {
     /// Sets the batched-verification lane width (clamped to
     /// 1..=[`sha256_wide::MAX_LANES`]); 1 disables the wide kernel.
     pub fn with_verify_lanes(mut self, lanes: usize) -> Self {
-        *self.verify_lanes.get_mut() = lanes.clamp(1, sha256_wide::MAX_LANES);
+        self.verify_lanes = lanes.clamp(1, sha256_wide::MAX_LANES);
         self
     }
 
-    /// Adjusts the lane width on a live (possibly shared) verifier.
-    pub fn set_verify_lanes(&self, lanes: usize) {
-        let clamped = lanes.clamp(1, sha256_wide::MAX_LANES);
-        // relaxed: an independent perf knob — no other memory depends on
-        // it, every width computes identical results, and stale reads
-        // merely run one batch at the previous width.
-        self.verify_lanes.store(clamped, Ordering::Relaxed);
-    }
-
-    /// The current batched-verification lane width.
+    /// The batched-verification lane width.
     pub fn verify_lanes(&self) -> usize {
-        // relaxed: see `set_verify_lanes`.
-        self.verify_lanes.load(Ordering::Relaxed)
+        self.verify_lanes
     }
 
     /// Access to the replay guard (for metrics/ablation).
@@ -915,12 +904,14 @@ mod tests {
 
     #[test]
     fn verify_lanes_is_clamped_and_runtime_settable() {
+        // The name predates the removal of the runtime setter: the lane
+        // width is now fixed at construction, and both clamps still hold.
         let (_, verifier, _, _) = setup(0);
         let verifier = verifier.with_verify_lanes(0);
         assert_eq!(verifier.verify_lanes(), 1);
-        verifier.set_verify_lanes(64);
+        let verifier = verifier.with_verify_lanes(64);
         assert_eq!(verifier.verify_lanes(), sha256_wide::MAX_LANES);
-        verifier.set_verify_lanes(4);
+        let verifier = verifier.with_verify_lanes(4);
         assert_eq!(verifier.verify_lanes(), 4);
     }
 
