@@ -26,7 +26,13 @@
 //!   — one reactor thread serves tens of thousands of connections, so
 //!   the only place it may park is `Poller::wait`;
 //! - **`forbid-unsafe`**: every crate root carries
-//!   `#![forbid(unsafe_code)]` (or forbids it via `[lints.rust]`).
+//!   `#![forbid(unsafe_code)]` (or forbids it via `[lints.rust]`); the
+//!   baseline lists the two roots that `deny` instead (`vendor/polling`
+//!   for its FFI, `aipow-crypto` for its one SHA-NI call);
+//! - **`unsafe-site`**: every `unsafe` in production `src/` has a
+//!   `// SAFETY:` comment on the line above and an
+//!   `is_x86_feature_detected!` guard within the three lines above — the
+//!   only shape of `unsafe` this workspace sanctions outside `vendor/`.
 //!
 //! Any line can opt out with `// lint:allow(<rule>) <reason>` in its
 //! trailing comment; pre-existing debt lives in the committed baseline
@@ -256,6 +262,17 @@ fn prev_is_ident(bytes: &[u8], i: usize) -> bool {
     i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_')
 }
 
+/// Whether `code` contains `word` as a whole identifier (`unsafe`, not
+/// `unsafe_code`).
+fn has_word(code: &str, word: &str) -> bool {
+    let bytes = code.as_bytes();
+    code.match_indices(word).any(|(at, _)| {
+        let end = at + word.len();
+        !prev_is_ident(bytes, at)
+            && !(end < bytes.len() && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_'))
+    })
+}
+
 /// Whether the line's trailing comment or the contiguous comment
 /// block right above it opts the line out of `rule`.
 fn has_allow(comment: &str, hanging: &str, rule: &str) -> bool {
@@ -476,6 +493,27 @@ pub fn scan_file(rel: &str, content: &str, ctx: FileContext) -> Vec<Violation> {
                         ),
                     });
                 }
+            }
+        }
+
+        // unsafe-site ------------------------------------------------
+        if ctx.production && has_word(code, "unsafe") {
+            let documented = idx > 0
+                && normalize(&splits[idx - 1].code).is_empty()
+                && splits[idx - 1].comment.trim_start().starts_with("SAFETY:");
+            let guarded = splits[idx.saturating_sub(3)..idx]
+                .iter()
+                .any(|above| above.code.contains("is_x86_feature_detected!"));
+            if !(documented && guarded) {
+                violations.push(Violation {
+                    rule: "unsafe-site",
+                    path: rel.to_string(),
+                    line: lineno,
+                    excerpt: excerpt.clone(),
+                    message: "`unsafe` needs a `// SAFETY:` comment on the line above and an \
+                              `is_x86_feature_detected!` guard within the three lines above it"
+                        .into(),
+                });
             }
         }
 
@@ -931,6 +969,44 @@ mod tests {
         let src = "// lint:allow(reactor-blocking) shutdown join, loop already exited\n\
                    handle.join();\n";
         assert!(scan_file("x.rs", src, REACTOR_HOT).is_empty());
+    }
+
+    #[test]
+    fn unsafe_site_needs_a_safety_comment_and_a_feature_guard() {
+        let guarded = "if is_x86_feature_detected!(\"sha\") {\n\
+                       // SAFETY: the feature was detected just above.\n\
+                       unsafe { kernel(state) };\n}\n";
+        assert!(scan_file("x.rs", guarded, PROD).is_empty());
+        // No guard, no comment, a comment that is not on the line above,
+        // and a guard too far up each fire.
+        for src in [
+            "unsafe { kernel(state) };\n",
+            "// SAFETY: trust me.\nunsafe { kernel(state) };\n",
+            "if is_x86_feature_detected!(\"sha\") {\nunsafe { kernel(state) };\n}\n",
+            "// SAFETY: stale.\nif is_x86_feature_detected!(\"sha\") {\nunsafe { kernel(state) };\n}\n",
+            "if is_x86_feature_detected!(\"sha\") {\nlet a = 1;\nlet b = 2;\n\
+             // SAFETY: the guard is four lines up.\nunsafe { kernel(state) };\n}\n",
+        ] {
+            assert_eq!(rules(&scan_file("x.rs", src, PROD)), ["unsafe-site"], "{src}");
+        }
+        // The lint attributes, comments and strings are not the keyword.
+        let src = "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\n// unsafe\nlet s = \"unsafe\";\n";
+        assert!(scan_file("x.rs", src, PROD).is_empty());
+    }
+
+    /// The workspace's one real site: `aipow-crypto`'s call into the
+    /// SHA-NI kernel passes the rule, and is the only `unsafe` in the file.
+    #[test]
+    fn unsafe_site_accepts_the_sha_ni_call_in_aipow_crypto() {
+        let src = include_str!("../../crypto/src/sha256.rs");
+        let rel = "crates/crypto/src/sha256.rs";
+        assert!(scan_file(rel, src, PROD).is_empty());
+        let mut state = LexState::Code;
+        let sites = src
+            .lines()
+            .filter(|line| has_word(&split_line(line, &mut state).code, "unsafe"))
+            .count();
+        assert_eq!(sites, 1);
     }
 
     #[test]

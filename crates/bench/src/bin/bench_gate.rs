@@ -86,6 +86,8 @@
 //! - `... --bin bench_gate -- --check-only <json>` — skip running the
 //!   benches and gate an existing JSON-lines file.
 
+use aipow_bench::wide_vs_scalar_verdict;
+use aipow_crypto::hardware_sha_active;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -430,16 +432,13 @@ fn gate_wide_speedup(measured: &Results, min_speedup: f64) -> Vec<String> {
             } else {
                 f64::INFINITY
             };
-            let ok = speedup >= min_speedup;
+            let (verdict, fails) =
+                wide_vs_scalar_verdict(speedup >= min_speedup, hardware_sha_active());
             println!(
-                "{:<48} {:>14.1} {:>14.1} {:>8.2}  {}",
-                "wide/scalar verify speedup (batch 32)",
-                scalar,
-                wide,
-                speedup,
-                if ok { "ok" } else { "REGRESSION" }
+                "{:<48} {:>14.1} {:>14.1} {:>8.2}  {verdict}",
+                "wide/scalar verify speedup (batch 32)", scalar, wide, speedup,
             );
-            if ok {
+            if !fails {
                 Vec::new()
             } else {
                 vec![format!(
@@ -485,16 +484,15 @@ fn gate_backend_asymmetry(
             // Cost ratio: how many times more expensive one memory-hard
             // verification is than one SHA-256 verification.
             let ratio = if mh > 0.0 { sha / mh } else { f64::INFINITY };
-            let ok = ratio <= max_verify_ratio;
+            // SHA-256 *scalar* against memory-hard *wide*: the same
+            // cross-kernel comparison as the wide-speedup gate.
+            let (verdict, fails) =
+                wide_vs_scalar_verdict(ratio <= max_verify_ratio, hardware_sha_active());
             println!(
-                "{:<48} {:>14.1} {:>14.1} {:>8.2}  {}",
-                "memhard/sha256 verify cost (batch 32)",
-                sha,
-                mh,
-                ratio,
-                if ok { "ok" } else { "REGRESSION" }
+                "{:<48} {:>14.1} {:>14.1} {:>8.2}  {verdict}",
+                "memhard/sha256 verify cost (batch 32)", sha, mh, ratio,
             );
-            if !ok {
+            if fails {
                 failures.push(format!(
                     "{mh_verify_key}: memory-hard verify costs {ratio:.2}x the SHA-256 \
                      scalar verify within this run (ceiling {max_verify_ratio:.2}x) — \

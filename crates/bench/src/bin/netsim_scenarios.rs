@@ -17,6 +17,8 @@
 //! names and exits; an unknown `--only` name is echoed on stderr with a
 //! non-zero exit instead of a panic.
 
+use aipow_bench::wide_vs_scalar_verdict;
+use aipow_crypto::hardware_sha_active;
 use aipow_netsim::backends::{backends_to_markdown, run_backends, BackendsConfig};
 use aipow_netsim::behavior::{run_behavior_shift, run_redemption, BehaviorConfig};
 use aipow_netsim::burst::{burst_to_markdown, run_burst, BurstConfig};
@@ -222,23 +224,25 @@ fn lanes_suite() {
     // measured end-to-end gap under AVX2 is ~2.5-3x; 1.5x leaves room
     // for noisy runners). Baseline x86-64 (SSE2) caps the kernel near
     // 1.5x, so the strict bound only applies with AVX2 compiled in.
+    // Both bounds set the wide kernel against the scalar hasher, so on a
+    // SHA-NI host (scalar in hardware, wide not) they are printed only.
     let speedup = report.verify_speedup();
+    let floor = if cfg!(target_feature = "avx2") {
+        1.5
+    } else {
+        1.0 / 1.15
+    };
+    let (verdict, fails) = wide_vs_scalar_verdict(speedup > floor, hardware_sha_active());
     assert!(
-        speedup > 1.0 / 1.15,
-        "wide verify stage is {:.2}x the scalar cost ({:.0} vs {:.0} ns/item)",
+        !fails,
+        "wide verify stage is {:.2}x the scalar cost ({:.0} vs {:.0} ns/item), floor {floor:.2}x",
         1.0 / speedup,
         report.wide_ns_per_item,
         report.scalar_ns_per_item
     );
-    if cfg!(target_feature = "avx2") {
-        assert!(
-            speedup >= 1.5,
-            "AVX2 build: verify speedup {speedup:.2}x under the 1.5x floor"
-        );
-    }
     println!("{}", lanes_to_markdown(&report));
     println!(
-        "   {} verdicts identical, verify speedup {:.2}x -- ok",
+        "   {} verdicts identical, verify speedup {:.2}x -- {verdict}",
         report.submissions, speedup
     );
 }

@@ -13,7 +13,7 @@ use aipow_reputation::model::FixedScoreModel;
 use aipow_reputation::synth::DatasetSpec;
 use aipow_reputation::{FeatureVector, ReputationScore};
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Duration;
@@ -167,6 +167,40 @@ impl ServePlan {
     }
 }
 
+/// Which SHA-256 kernel this process hashes with: the CPU decides
+/// ([`aipow_crypto::hardware_sha_active`]), no flag does, so `serve` and
+/// `solve` print it for the operator to see.
+fn sha256_kernel_line() -> &'static str {
+    if aipow_crypto::hardware_sha_active() {
+        "sha256 kernel: hardware (sha-ni)"
+    } else {
+        "sha256 kernel: portable"
+    }
+}
+
+/// What `aipow serve` prints once it is listening.
+fn serve_banner(addr: SocketAddr, framework: &Framework, score: ReputationScore) -> String {
+    format!(
+        "serving on {addr} with policy `{}` (fixed client score {score}, {} verify lanes, {}); Ctrl-C to stop\n{}",
+        framework.policy_name(),
+        framework.verifier().verify_lanes(),
+        match framework.tracer() {
+            Some(tracer) => format!("tracing 1-in-{}", tracer.sample_every()),
+            None => "tracing off".to_string(),
+        },
+        sha256_kernel_line(),
+    )
+}
+
+/// The kernel note under `aipow solve`'s header: the issuer and verifier
+/// side hash on the probed kernel, the client's own hashing never does.
+fn solve_kernel_note() -> String {
+    format!(
+        "{}; the scalar solver (--lanes 1) and the memory-hard walk stay on the portable reference",
+        sha256_kernel_line()
+    )
+}
+
 /// `aipow serve` — run the PoW-fronted resource server until interrupted.
 ///
 /// # Errors
@@ -177,16 +211,7 @@ pub fn serve(raw: &[String]) -> Result<(), CliError> {
     let plan = serve_plan(raw)?;
     let (framework, score) = (Arc::clone(&plan.framework), plan.score);
     let server = plan.start()?;
-    println!(
-        "serving on {} with policy `{}` (fixed client score {score}, {} verify lanes, {}); Ctrl-C to stop",
-        server.local_addr(),
-        framework.policy_name(),
-        framework.verifier().verify_lanes(),
-        match framework.tracer() {
-            Some(tracer) => format!("tracing 1-in-{}", tracer.sample_every()),
-            None => "tracing off".to_string(),
-        },
-    );
+    println!("{}", serve_banner(server.local_addr(), &framework, score));
     // Serve until the process is killed; print a metrics line every 10 s.
     loop {
         std::thread::sleep(Duration::from_secs(10));
@@ -315,6 +340,7 @@ pub fn solve(raw: &[String]) -> Result<(), CliError> {
             "sha256".to_string()
         },
     );
+    println!("{}", solve_kernel_note());
     let mut total_attempts = 0u64;
     let mut total_secs = 0f64;
     for i in 0..trials {
@@ -728,6 +754,29 @@ mod tests {
         let addr = server.local_addr().to_string();
         fetch(&strings(&["--addr", &addr])).unwrap();
         server.shutdown();
+    }
+
+    /// The kernel is the CPU's choice, so the only operator surface is a
+    /// line of output: `serve`'s banner and `solve`'s header both carry
+    /// it, and it says what the probe says.
+    #[test]
+    fn serve_and_solve_name_the_sha256_kernel_the_probe_reports() {
+        let expected = if aipow_crypto::hardware_sha_active() {
+            "sha256 kernel: hardware (sha-ni)"
+        } else {
+            "sha256 kernel: portable"
+        };
+        let plan = serve_plan(&strings(&["--addr", "127.0.0.1:0"])).unwrap();
+        let (framework, score) = (Arc::clone(&plan.framework), plan.score);
+        let server = plan.start().unwrap();
+        let banner = serve_banner(server.local_addr(), &framework, score);
+        server.shutdown();
+        assert!(banner.starts_with("serving on 127.0.0.1:"), "{banner}");
+        assert_eq!(banner.lines().nth(1), Some(expected), "{banner}");
+
+        let note = solve_kernel_note();
+        assert!(note.starts_with(expected), "{note}");
+        assert!(note.contains("portable reference"), "{note}");
     }
 
     #[test]

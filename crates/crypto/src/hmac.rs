@@ -21,32 +21,19 @@ const BLOCK_LEN: usize = 64;
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    /// Outer-pad key block, retained until finalization.
-    opad_block: [u8; BLOCK_LEN],
+    /// SHA-256 state with the opad block absorbed, finished at finalization.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
     /// Creates a MAC instance for `key`. Keys longer than the block size are
     /// pre-hashed per the HMAC specification; any key length is accepted.
     pub fn new(key: &[u8]) -> Self {
-        let mut key_block = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            let d = Sha256::digest(key);
-            key_block[..32].copy_from_slice(d.as_bytes());
-        } else {
-            key_block[..key.len()].copy_from_slice(key);
+        let key = HmacKey::new(key);
+        HmacSha256 {
+            inner: key.inner_base,
+            outer: key.outer_base,
         }
-
-        let mut ipad_block = [0u8; BLOCK_LEN];
-        let mut opad_block = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad_block[i] = key_block[i] ^ 0x36;
-            opad_block[i] = key_block[i] ^ 0x5c;
-        }
-
-        let mut inner = Sha256::new();
-        inner.update(&ipad_block);
-        HmacSha256 { inner, opad_block }
     }
 
     /// One-shot convenience: `HMAC(key, data)`.
@@ -63,10 +50,8 @@ impl HmacSha256 {
 
     /// Completes the MAC, consuming the instance.
     pub fn finalize(self) -> Digest {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_block);
-        outer.update(inner_digest.as_bytes());
+        let mut outer = self.outer;
+        outer.update(self.inner.finalize().as_bytes());
         outer.finalize()
     }
 
@@ -114,25 +99,25 @@ impl HmacKey {
     /// Runs the key schedule once. Keys longer than the block size are
     /// pre-hashed per the HMAC specification.
     pub fn new(key: &[u8]) -> Self {
+        Self::on_hasher(key, &Sha256::new())
+    }
+
+    /// The key schedule on clones of the unused hasher `fresh`, whose
+    /// kernel every MAC under this key then runs.
+    fn on_hasher(key: &[u8], fresh: &Sha256) -> Self {
         let mut key_block = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            let d = Sha256::digest(key);
-            key_block[..32].copy_from_slice(d.as_bytes());
+            let mut h = fresh.clone();
+            h.update(key);
+            key_block[..32].copy_from_slice(h.finalize().as_bytes());
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
 
-        let mut ipad_block = [0u8; BLOCK_LEN];
-        let mut opad_block = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad_block[i] = key_block[i] ^ 0x36;
-            opad_block[i] = key_block[i] ^ 0x5c;
-        }
-
-        let mut inner_base = Sha256::new();
-        inner_base.update(&ipad_block);
-        let mut outer_base = Sha256::new();
-        outer_base.update(&opad_block);
+        let mut inner_base = fresh.clone();
+        inner_base.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer_base = fresh.clone();
+        outer_base.update(&key_block.map(|b| b ^ 0x5c));
         HmacKey {
             inner_base,
             outer_base,
@@ -247,6 +232,10 @@ mod tests {
         for (i, (key, data, expected)) in cases.iter().enumerate() {
             let tag = HmacSha256::mac(key, data);
             assert_eq!(&tag.to_hex(), expected, "RFC 4231 case {}", i + 1);
+            for (kernel, fresh) in crate::sha256::test_kernels() {
+                let tag = HmacKey::on_hasher(key, &fresh).mac(data);
+                assert_eq!(&tag.to_hex(), expected, "{kernel}: RFC 4231 case {}", i + 1);
+            }
         }
     }
 
@@ -254,11 +243,14 @@ mod tests {
     #[test]
     fn rfc4231_truncated_case5() {
         let key = vec![0x0cu8; 20];
-        let tag = HmacSha256::mac(&key, b"Test With Truncation");
-        assert_eq!(
-            hex::encode(&tag.as_bytes()[..16]),
-            "a3b6167473100ee06e0c796c2955552b"
-        );
+        for (kernel, fresh) in crate::sha256::test_kernels() {
+            let tag = HmacKey::on_hasher(&key, &fresh).mac(b"Test With Truncation");
+            assert_eq!(
+                hex::encode(&tag.as_bytes()[..16]),
+                "a3b6167473100ee06e0c796c2955552b",
+                "{kernel}"
+            );
+        }
     }
 
     #[test]

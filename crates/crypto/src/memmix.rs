@@ -149,14 +149,19 @@ impl Arena {
     /// digest. The returned digest is judged by leading zero bits
     /// exactly like the plain SHA-256 work function.
     pub fn walk(&self, msg: &[u8]) -> Digest {
-        let mut y = Sha256::digest(msg);
+        // Portable until ROADMAP 1b, like the SHA-256 solver: this walk is the memory-hard
+        // *client's* attempt, and its cost is gated as a multiple of that solver's.
+        let hash = |head: &[u8], tail: &[u8]| {
+            let mut h = Sha256::portable();
+            h.update(head);
+            h.update(tail);
+            h.finalize()
+        };
+        let mut y = hash(msg, &[]);
         let n = self.blocks.len() as u64;
         for _ in 0..WALK_STEPS {
             let idx = (y.prefix_u64() % n) as usize;
-            let mut h = Sha256::new();
-            h.update(y.as_bytes());
-            h.update(&self.blocks[idx][..STEP_BLOCK_BYTES]);
-            y = h.finalize();
+            y = hash(y.as_bytes(), &self.blocks[idx][..STEP_BLOCK_BYTES]);
         }
         y
     }

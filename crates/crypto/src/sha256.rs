@@ -227,6 +227,8 @@ pub struct Sha256 {
     /// Total message length in bytes (message limit 2^61 bytes, far beyond
     /// anything this workspace hashes).
     pub(crate) total_len: u64,
+    /// Compress on the CPU's SHA extensions, not the portable rounds; fixed at construction.
+    hardware: bool,
 }
 
 impl Default for Sha256 {
@@ -235,14 +237,41 @@ impl Default for Sha256 {
     }
 }
 
+/// Whether [`Sha256::new`] hashes on the CPU's SHA extensions (x86-64
+/// SHA-NI). Read-only: the CPU decides, no flag or feature does.
+pub fn hardware_sha_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("sse2")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the kernel [`hardware_sha_active`] reports.
     pub fn new() -> Self {
+        Self::with_kernel(hardware_sha_active())
+    }
+
+    /// Creates a fresh hasher pinned to the portable kernel: every non-SHA host's fallback,
+    /// the tests' named reference, and what the client solvers run (DESIGN.md §12.4).
+    pub fn portable() -> Self {
+        Self::with_kernel(false)
+    }
+
+    fn with_kernel(hardware: bool) -> Self {
         Sha256 {
             state: H256,
             buf: [0u8; 64],
             buf_len: 0,
             total_len: 0,
+            hardware,
         }
     }
 
@@ -265,8 +294,7 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                compress(&mut self.state, &block);
+                compress(self.hardware, &mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
@@ -275,6 +303,7 @@ impl Sha256 {
         while rest.len() >= 64 {
             let (block, tail) = rest.split_at(64);
             compress(
+                self.hardware,
                 &mut self.state,
                 block
                     .try_into()
@@ -300,22 +329,17 @@ impl Sha256 {
         Digest(out)
     }
 
-    /// Appends the FIPS 180-4 padding (0x80, zeros, 64-bit bit length).
+    /// Pads in the block buffer (0x80, zeros, 64-bit bit length; `buf_len < 64`).
     fn pad(&mut self) {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // 0x80 terminator.
-        let mut pad: Vec<u8> = Vec::with_capacity(72);
-        pad.push(0x80);
-        // Zeros until the block is 56 bytes mod 64.
-        let after = (self.buf_len + 1) % 64;
-        let zeros = if after <= 56 { 56 - after } else { 120 - after };
-        pad.extend(std::iter::repeat_n(0u8, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        // Feed padding through the normal path without recounting length.
-        let save_len = self.total_len;
-        self.update(&pad);
-        self.total_len = save_len;
-        debug_assert_eq!(self.buf_len, 0, "padding must end on a block boundary");
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len + 1 > 56 {
+            // No room for the length: it goes in a block of its own.
+            compress(self.hardware, &mut self.state, &self.buf);
+            self.buf = [0u8; 64];
+        }
+        self.buf[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress(self.hardware, &mut self.state, &self.buf);
     }
 }
 
@@ -370,8 +394,70 @@ impl Sha224 {
     }
 }
 
-/// The SHA-256 compression function over one 64-byte block.
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+/// One compression through the kernel the calling hasher holds.
+#[allow(unsafe_code)]
+fn compress(hardware: bool, state: &mut [u32; 8], block: &[u8; 64]) {
+    if hardware {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("sse2")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: this CPU has every feature `compress_sha_ni` enables, checked just above.
+            unsafe { compress_sha_ni(state, block) };
+            return;
+        }
+    }
+    compress_portable(state, block);
+}
+
+/// The compression function on the x86-64 SHA extensions: two rounds per `sha256rnds2`,
+/// four schedule words per `sha256msg1`/`msg2`. Values only — no pointer loads or stores — so
+/// the body needs no `unsafe`; calling it is sound only on a CPU with the enabled features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+    use std::arch::x86_64::*;
+    let word = |i: usize| u32::from_be_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
+    let quad = |w: [u32; 4]| _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32);
+    let mut w: [__m128i; 4] =
+        core::array::from_fn(|g| quad(core::array::from_fn(|i| word(16 * g + 4 * i))));
+
+    // The instructions want the state as (A,B,E,F) and (C,D,G,H), high lane first.
+    let [a, b, c, d, e, f, g, h] = *state;
+    let (abef_in, cdgh_in) = (quad([f, e, b, a]), quad([h, g, d, c]));
+    let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+
+    for t in 0..16 {
+        if t >= 4 {
+            // Words 4t..4t+4 from the four quads before them.
+            let (w3, w2) = (w[(t + 3) % 4], w[(t + 2) % 4]);
+            let partial = _mm_sha256msg1_epu32(w[t % 4], w[(t + 1) % 4]);
+            let partial = _mm_add_epi32(partial, _mm_alignr_epi8::<4>(w3, w2));
+            w[t % 4] = _mm_sha256msg2_epu32(partial, w3);
+        }
+        let k = quad([K[4 * t], K[4 * t + 1], K[4 * t + 2], K[4 * t + 3]]);
+        let wk = _mm_add_epi32(w[t % 4], k);
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+    }
+
+    let (abef, cdgh) = (_mm_add_epi32(abef, abef_in), _mm_add_epi32(cdgh, cdgh_in));
+    *state = [
+        _mm_extract_epi32::<3>(abef) as u32,
+        _mm_extract_epi32::<2>(abef) as u32,
+        _mm_extract_epi32::<3>(cdgh) as u32,
+        _mm_extract_epi32::<2>(cdgh) as u32,
+        _mm_extract_epi32::<1>(abef) as u32,
+        _mm_extract_epi32::<0>(abef) as u32,
+        _mm_extract_epi32::<1>(cdgh) as u32,
+        _mm_extract_epi32::<0>(cdgh) as u32,
+    ];
+}
+
+/// The portable SHA-256 compression function over one 64-byte block.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     // Message schedule.
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -424,9 +510,35 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// Every kernel by name as an unused hasher: the portable reference, what
+/// [`Sha256::new`] builds when the probe is forced false, and the hardware
+/// kernel where this CPU has it (`skipped: no sha_ni` where it does not).
+#[cfg(test)]
+pub(crate) fn test_kernels() -> Vec<(&'static str, Sha256)> {
+    let mut kernels = vec![
+        ("portable", Sha256::portable()),
+        ("probe forced false", Sha256::with_kernel(false)),
+    ];
+    if hardware_sha_active() {
+        kernels.push(("hardware", Sha256::new()));
+    } else {
+        eprintln!("skipped: no sha_ni");
+    }
+    kernels
+}
+
+/// `data` hashed in one `update` on a clone of the unused hasher `fresh`.
+#[cfg(test)]
+pub(crate) fn digest_on(fresh: &Sha256, data: &[u8]) -> Digest {
+    let mut h = fresh.clone();
+    h.update(data);
+    h.finalize()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256_wide::WideHasher;
 
     /// FIPS 180-4 / NIST CAVS known-answer vectors.
     #[test]
@@ -449,22 +561,68 @@ mod tests {
                 "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
             ),
         ];
-        for (input, expected) in cases {
-            assert_eq!(&Sha256::digest(input).to_hex(), expected);
+        for (kernel, fresh) in test_kernels() {
+            for (input, expected) in cases {
+                assert_eq!(&digest_on(&fresh, input).to_hex(), expected, "{kernel}");
+            }
         }
+        // The public one-shot is `new()`'s kernel, whichever that is here.
+        assert_eq!(
+            Sha256::digest(b"abc"),
+            digest_on(&Sha256::portable(), b"abc")
+        );
     }
 
     #[test]
     fn sha256_million_a() {
-        let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (kernel, mut h) in test_kernels() {
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                h.finalize().to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{kernel}"
+            );
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    }
+
+    /// Every padding regime (no spill, exact fit, spill into a second
+    /// block, with and without a full block before) hashed four ways on
+    /// every kernel: all equal the portable one-shot digest.
+    #[test]
+    fn padding_lengths_agree_across_every_way_of_hashing_on_every_kernel() {
+        for len in [0usize, 55, 56, 63, 64, 65, 119, 120] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let reference = digest_on(&Sha256::portable(), &data);
+            for (kernel, fresh) in test_kernels() {
+                assert_eq!(
+                    digest_on(&fresh, &data),
+                    reference,
+                    "{kernel} one-shot {len}"
+                );
+
+                let mut streamed = fresh.clone();
+                data.iter().for_each(|b| streamed.update(&[*b]));
+                assert_eq!(streamed.finalize(), reference, "{kernel} streamed {len}");
+
+                let (head, tail) = data.split_at(len / 2);
+                let mut midstate = fresh.clone();
+                midstate.update(head);
+                assert_eq!(
+                    digest_on(&midstate, tail),
+                    reference,
+                    "{kernel} midstate clone {len}"
+                );
+                // The original is unharmed by the clone finishing first.
+                assert_eq!(digest_on(&midstate, tail), reference);
+
+                let mut wide = WideHasher::<4>::from_midstate(&midstate);
+                wide.update([tail; 4]);
+                assert_eq!(wide.finalize(), [reference; 4], "{kernel} wide {len}");
+            }
+        }
     }
 
     #[test]
@@ -561,6 +719,42 @@ mod tests {
                 }
                 h.update(&data[prev..]);
                 prop_assert_eq!(h.finalize(), reference);
+            }
+
+            /// One compression from a random chaining value over a random
+            /// block is the same under both kernels.
+            #[test]
+            fn kernels_agree_on_one_compression(state in any::<[u8; 32]>(),
+                                                block in any::<[u8; 64]>()) {
+                let state: [u32; 8] = core::array::from_fn(|i| {
+                    u32::from_be_bytes([state[4 * i], state[4 * i + 1], state[4 * i + 2], state[4 * i + 3]])
+                });
+                if !hardware_sha_active() {
+                    eprintln!("skipped: no sha_ni");
+                }
+                let (mut portable, mut hardware) = (state, state);
+                compress(false, &mut portable, &block);
+                compress(true, &mut hardware, &block);
+                prop_assert_eq!(portable, hardware);
+            }
+
+            /// A random message split at random points digests the same on
+            /// every kernel.
+            #[test]
+            fn kernels_agree_on_split_messages(data in proptest::collection::vec(any::<u8>(), 0..=300),
+                                               splits in proptest::collection::vec(0usize..=300, 0..4)) {
+                let reference = digest_on(&Sha256::portable(), &data);
+                let mut points: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
+                points.push(data.len());
+                points.sort_unstable();
+                for (kernel, mut h) in test_kernels() {
+                    let mut prev = 0usize;
+                    for &p in &points {
+                        h.update(&data[prev..p]);
+                        prev = p;
+                    }
+                    prop_assert_eq!(h.finalize(), reference, "{}", kernel);
+                }
             }
 
             /// Distinct short inputs virtually never collide; more usefully,

@@ -171,7 +171,10 @@ impl PuzzleBackend for Sha256Backend {
     }
 
     fn solve_cursor(&self, _param: u8, prefix: &[u8]) -> Box<dyn SolveCursor + '_> {
-        let mut midstate = Sha256::new();
+        // The client stays on the portable kernel until ROADMAP 1b:
+        // `paper.throttle_ratio` is a wall-time ratio on fixed bits, so a
+        // faster solver reads as a weaker defence with the defence unchanged.
+        let mut midstate = Sha256::portable();
         midstate.update(prefix);
         Box::new(Sha256Cursor { midstate })
     }

@@ -416,7 +416,9 @@ pub fn measure_hash_rate(samples: u64) -> f64 {
 /// this to report the throughput each width actually achieves.
 pub fn measure_hash_rate_lanes(samples: u64, lanes: usize) -> f64 {
     let lanes = lanes.clamp(1, MAX_LANES);
-    let mut midstate = Sha256::new();
+    // Portable until ROADMAP 1b, like `Sha256Backend::solve_cursor`: the
+    // scalar arm below must time the kernel the solver actually runs.
+    let mut midstate = Sha256::portable();
     midstate.update(b"aipow hash-rate calibration preimage / 203.0.113.7");
     let start = Instant::now();
     let mut acc = 0u32;

@@ -676,6 +676,39 @@ mod tests {
         assert_eq!(&token.seed, sol.challenge.seed());
     }
 
+    /// The client solves on the pinned portable kernel; the verifier MACs
+    /// and digests on whatever `Sha256::new()` picked (SHA-NI where the CPU
+    /// has it). Every byte must agree: the fixed first challenge of `KEY`
+    /// carries the tag, and solves to the nonce and attempt count, that the
+    /// all-portable code produced before the hardware kernel existed.
+    #[test]
+    fn portable_solver_output_verifies_on_the_default_kernel_unchanged() {
+        let (issuer, verifier, _, sol) = setup(12);
+        assert_eq!(
+            aipow_crypto::hex::encode(sol.challenge.tag()),
+            "0a5384de1a3ba4c10b5b08f7d925ffc5f431b7b6929542bd134f74917da6255d"
+        );
+        let c = sol.challenge.clone();
+        let report = solver::solve(&c, ip(), &SolverOptions::default()).unwrap();
+        assert_eq!((report.solution.nonce, report.attempts), (14216, 14217));
+        assert_eq!(report.solution, sol);
+
+        let prepared = verifier.prepare_at(1_000_000);
+        assert!(prepared.verify_one(&sol, ip()).is_ok());
+        // A second solved challenge fills out a real wide batch; a fresh
+        // verifier has not seen the first seed.
+        let c2 = issuer.issue(ip(), Difficulty::new(6).unwrap());
+        let sol2 = solver::solve(&c2, ip(), &SolverOptions::default())
+            .unwrap()
+            .solution;
+        let clock = Arc::new(ManualClock::at(1_000_000));
+        let batch_verifier = Verifier::with_clock(&KEY, clock).with_verify_lanes(8);
+        let outcomes = batch_verifier
+            .prepare_at(1_000_000)
+            .verify_many(&[(&sol, ip()), (&sol2, ip())]);
+        assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+    }
+
     #[test]
     fn replay_is_rejected() {
         let (_, verifier, _, sol) = setup(4);

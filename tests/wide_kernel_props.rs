@@ -2,12 +2,41 @@
 //! every lane count the wide path must be byte-identical to the scalar
 //! reference — across ragged tails, multi-block messages, midstate
 //! continuations, and the official NIST/RFC test vectors.
+//!
+//! The reference is the *portable* scalar kernel by name: on a SHA-NI host
+//! `Sha256::digest` and `HmacSha256::mac` run the hardware kernel, and the
+//! wide path's own ragged tails fall back to it, so comparing against them
+//! would check one implementation against itself.
 
 use aipow_crypto::hmac::{HmacKey, HmacSha256};
-use aipow_crypto::sha256::Sha256;
+use aipow_crypto::sha256::{Digest, Sha256};
 use aipow_crypto::sha256_wide::{digest_batch, digest_batch_from, digest_wide, MAX_LANES};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// SHA-256 of `msg` on the portable kernel.
+fn portable_digest(msg: &[u8]) -> Digest {
+    let mut h = Sha256::portable();
+    h.update(msg);
+    h.finalize()
+}
+
+/// RFC 2104 HMAC-SHA-256 spelled out over the portable kernel.
+fn portable_hmac(key: &[u8], msg: &[u8]) -> Digest {
+    let mut key_block = [0u8; 64];
+    if key.len() > 64 {
+        key_block[..32].copy_from_slice(portable_digest(key).as_bytes());
+    } else {
+        key_block[..key.len()].copy_from_slice(key);
+    }
+    let mut inner = Sha256::portable();
+    inner.update(&key_block.map(|b| b ^ 0x36));
+    inner.update(msg);
+    let mut outer = Sha256::portable();
+    outer.update(&key_block.map(|b| b ^ 0x5c));
+    outer.update(inner.finalize().as_bytes());
+    outer.finalize()
+}
 
 /// FIPS 180-4 / NIST CAVS SHA-256 vectors (message, expected digest).
 const NIST_VECTORS: [(&[u8], &str); 4] = [
@@ -79,6 +108,7 @@ fn rfc4231_vectors_pass_through_the_batched_mac_at_every_lane_count() {
     for (key, msg, want) in RFC4231_VECTORS {
         let hoisted = HmacKey::new(key);
         assert_eq!(HmacSha256::mac(key, msg).to_hex(), want);
+        assert_eq!(portable_hmac(key, msg).to_hex(), want);
         for lanes in 1..=MAX_LANES {
             let msgs: Vec<&[u8]> = std::iter::repeat_n(msg, lanes + 3).collect();
             for tag in hoisted.mac_batch(&msgs, lanes) {
@@ -100,7 +130,7 @@ fn block_boundary_lengths_match_scalar_at_every_lane_count() {
         .map(|&len| (0..len).map(|i| (i * 31 % 251) as u8).collect())
         .collect();
     let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-    let want: Vec<String> = refs.iter().map(|m| Sha256::digest(m).to_hex()).collect();
+    let want: Vec<String> = refs.iter().map(|m| portable_digest(m).to_hex()).collect();
     for lanes in 1..=MAX_LANES {
         // Duplicate each length `lanes` times so full lanes actually form.
         let wide_input: Vec<&[u8]> = refs
@@ -128,7 +158,7 @@ proptest! {
         let got = digest_batch(&refs, lanes);
         prop_assert_eq!(got.len(), refs.len());
         for (digest, msg) in got.iter().zip(&refs) {
-            let want = Sha256::digest(msg);
+            let want = portable_digest(msg);
             prop_assert_eq!(digest.as_bytes(), want.as_bytes());
         }
     }
@@ -148,7 +178,7 @@ proptest! {
         for (digest, suffix) in got.iter().zip(&suffixes) {
             let mut whole = prefix.clone();
             whole.extend_from_slice(suffix);
-            let want = Sha256::digest(&whole);
+            let want = portable_digest(&whole);
             prop_assert_eq!(digest.as_bytes(), want.as_bytes());
         }
     }
@@ -167,7 +197,7 @@ proptest! {
         let tags = hoisted.mac_batch(&refs, lanes);
         prop_assert_eq!(tags.len(), refs.len());
         for (tag, msg) in tags.iter().zip(&refs) {
-            let want = HmacSha256::mac(&key, msg);
+            let want = portable_hmac(&key, msg);
             prop_assert_eq!(tag.as_bytes(), want.as_bytes());
         }
     }
