@@ -256,6 +256,15 @@ pub enum ConfigError {
         /// Which field was zero.
         field: &'static str,
     },
+    /// A capacity field was above what its structure can address.
+    CapacityTooLarge {
+        /// Which field was too large.
+        field: &'static str,
+        /// The rejected capacity.
+        requested: usize,
+        /// The largest accepted capacity.
+        max: usize,
+    },
     /// The shard count was zero or beyond the supported maximum.
     BadShardCount {
         /// The rejected count.
@@ -316,6 +325,11 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroCapacity { field } => {
                 write!(f, "{field} capacity must be positive")
             }
+            ConfigError::CapacityTooLarge {
+                field,
+                requested,
+                max,
+            } => write!(f, "{field} capacity {requested} exceeds {max}"),
             ConfigError::BadShardCount { requested } => {
                 write!(
                     f,
@@ -386,6 +400,13 @@ impl FrameworkConfig {
         })?;
         if self.replay_capacity == 0 {
             return Err(ConfigError::ZeroCapacity { field: "replay" });
+        }
+        if self.replay_capacity > aipow_pow::replay::MAX_CAPACITY {
+            return Err(ConfigError::CapacityTooLarge {
+                field: "replay",
+                requested: self.replay_capacity,
+                max: aipow_pow::replay::MAX_CAPACITY,
+            });
         }
         if self.audit_capacity == 0 {
             return Err(ConfigError::ZeroCapacity { field: "audit" });
@@ -565,6 +586,32 @@ mod tests {
                 ConfigError::ZeroCapacity { field },
             );
         }
+    }
+
+    /// A capacity the replay guard would refuse by panicking is a typed
+    /// error here, so no config can abort a server at start.
+    #[test]
+    fn oversized_replay_capacity_rejected() {
+        let max = aipow_pow::replay::MAX_CAPACITY;
+        let config = FrameworkConfig {
+            replay_capacity: max + 1,
+            ..Default::default()
+        };
+        let err = config.apply().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::CapacityTooLarge {
+                field: "replay",
+                requested: max + 1,
+                max,
+            }
+        );
+        assert!(err.to_string().starts_with("replay capacity"));
+        let at_max = FrameworkConfig {
+            replay_capacity: max,
+            ..Default::default()
+        };
+        assert!(at_max.apply().is_ok());
     }
 
     #[test]

@@ -165,6 +165,8 @@ mod tests {
         m.accept_errors.inc();
         m.accept_backoff_ms.set(128);
         m.rate_limited.add(2);
+        m.replay_len.set(3);
+        m.replay_heap_bytes.set(96);
         m.snapshot()
     }
 
@@ -181,6 +183,8 @@ mod tests {
         assert!(json.contains("\"challenges_issued\":3"));
         assert!(json.contains("\"bad_mac\":1"));
         assert!(json.contains("\"rate_limited\":2"));
+        assert!(json.contains("\"replay_len\":3"));
+        assert!(json.contains("\"replay_heap_bytes\":96"));
         assert!(json.contains("\"stage\":\"score\""));
         assert!(!json.contains(",,"), "no empty fields");
     }
@@ -253,6 +257,8 @@ mod tests {
         assert!(text.contains("aipow_rejections{reason=\"bad_mac\"} 1"));
         assert!(text.contains("aipow_stage_p99_ns{stage=\"score\"}"));
         assert!(text.contains("aipow_accept_errors 1"));
+        assert!(text.contains("# TYPE aipow_replay_len gauge\naipow_replay_len 3\n"));
+        assert!(text.contains("# TYPE aipow_replay_heap_bytes gauge\naipow_replay_heap_bytes 96\n"));
     }
 
     /// One `VerifyError` of every variant: adding a variant without a

@@ -637,17 +637,23 @@ impl Framework {
 
     /// A metrics snapshot with the saturation gauges freshly synced.
     /// [`handle_solution`](Self::handle_solution) already syncs the
-    /// replay live-eviction gauge after every verification, so
-    /// `metrics().snapshot()` is equally accurate; this method just
-    /// guarantees freshness when no solution has arrived since.
+    /// replay live-eviction gauge after every verification; the replay
+    /// guard's size (`replay_len`, `replay_heap_bytes`) is read here
+    /// only, one shard lock at a time, so `metrics().snapshot()` carries
+    /// whatever the last call to this method saw.
     /// A snapshot also feeds the tracer's anomaly triggers: the derived
     /// rejection rate and worst stage p99 are handed to
     /// [`Tracer::check_triggers`], so whoever polls telemetry is also the
     /// heartbeat that can trip the flight recorder.
     pub fn metrics_snapshot(&self) -> crate::MetricsSnapshot {
+        let guard = self.verifier.replay_guard();
         self.metrics
             .replay_evicted_live
-            .set(self.verifier.replay_guard().live_evictions() as i64);
+            .set(guard.live_evictions() as i64);
+        self.metrics.replay_len.set(guard.len() as i64);
+        self.metrics
+            .replay_heap_bytes
+            .set(guard.heap_bytes() as i64);
         let snap = self.metrics.snapshot_at(self.clock.now_ms());
         if let Some(tracer) = self.tracer() {
             tracer.check_triggers(&TriggerStats {
@@ -1090,6 +1096,32 @@ mod tests {
             fw.handle_solution(&report.solution, client).unwrap();
         }
         assert_eq!(fw.metrics_snapshot().replay_evicted_live, 1);
+    }
+
+    #[test]
+    fn metrics_snapshot_surfaces_replay_guard_size() {
+        let fw = FrameworkBuilder::new()
+            .master_key([9u8; 32])
+            .model(FixedScoreModel::new(ReputationScore::MIN))
+            .policy(LinearPolicy::policy1())
+            .build()
+            .unwrap();
+        let snap = fw.metrics_snapshot();
+        assert_eq!((snap.replay_len, snap.replay_heap_bytes), (0, 0));
+        let client = ip(3);
+        let issued = fw
+            .handle_request(client, &FeatureVector::zeros())
+            .challenge()
+            .unwrap();
+        let report = solver::solve(&issued.challenge, client, &SolverOptions::default()).unwrap();
+        fw.handle_solution(&report.solution, client).unwrap();
+        // Syncing is the snapshot's job, not the admission path's.
+        assert_eq!(fw.metrics().snapshot().replay_len, 0);
+        let snap = fw.metrics_snapshot();
+        assert_eq!(snap.replay_len, 1);
+        let guard = fw.verifier().replay_guard();
+        assert_eq!(snap.replay_heap_bytes, guard.heap_bytes() as u64);
+        assert!(snap.replay_heap_bytes > 0);
     }
 
     #[test]

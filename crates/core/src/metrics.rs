@@ -365,6 +365,14 @@ scalar_metrics! {
         /// after every verification and by
         /// [`Framework::metrics_snapshot`](crate::Framework::metrics_snapshot).
         replay_evicted_live: Gauge,
+        /// Seeds the replay guard currently remembers. Synced by
+        /// [`Framework::metrics_snapshot`](crate::Framework::metrics_snapshot)
+        /// only, never on the admission path.
+        replay_len: Gauge,
+        /// Heap bytes the replay guard holds for them: 32–64 per seed
+        /// while its tables double, 32 once full. Synced with
+        /// `replay_len`.
+        replay_heap_bytes: Gauge,
         /// Clients currently tracked by the online behavior recorder (0
         /// when no online loop is attached; refreshed by the decay
         /// worker's sweep).
