@@ -20,13 +20,10 @@
 //!
 //! The acceptance bars (enforced by `bench_gate` within-run, so they are
 //! machine-independent): batch=32 at 4 threads ≥ 1.5× the sequential
-//! path at 4 threads, and the traced batch=32 at 4 threads within
-//! `AIPOW_GATE_MAX_TRACE_OVERHEAD` (default 5 %) of the untraced run.
-//! `batch1` rides along as the degenerate case — it measures the batch
-//! plumbing's overhead at group size one.
-//!
-//! Set `AIPOW_BENCH_JSON=BENCH_batch.json` to append machine-readable
-//! results.
+//! path at 4 threads, and the traced batch=32 at 4 threads ≥ 0.95× the
+//! untraced run (rows of `aipow_bench::RATIO_GATES`). `batch1` rides
+//! along as the degenerate case — it measures the batch plumbing's
+//! overhead at group size one.
 
 use aipow_core::{Framework, FrameworkBuilder};
 use aipow_policy::LinearPolicy;
@@ -154,7 +151,7 @@ fn admission_batch(c: &mut Criterion) {
 
     // The traced twin of admission_batch/batch32: same stream, tracer
     // attached at default sampling. Gated against the untraced run by
-    // bench_gate's AIPOW_GATE_MAX_TRACE_OVERHEAD (default 5 %). Each
+    // bench_gate's traced/untraced row (floor 0.95). Each
     // traced cell is paired with a freshly measured *untraced* twin
     // immediately before it — the gate ratios adjacent cells, so slow
     // clock/thermal drift across a long bench run (the gate runs four

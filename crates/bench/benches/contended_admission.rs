@@ -15,10 +15,9 @@
 //! admission and features served from the blending behavioral source
 //! (`contended_admission_online`). The acceptance bar for the online
 //! loop is that the second group stays within ~10 % of the first — the
-//! recorder adds per-shard work, never a global lock.
-//!
-//! Set `AIPOW_BENCH_JSON=BENCH_contended.json` to append machine-readable
-//! results (see EXPERIMENTS.md §C8).
+//! recorder adds per-shard work, never a global lock (EXPERIMENTS.md
+//! §C8). No `bench_gate` row reads this bench; run it with
+//! `cargo bench -p aipow-bench --bench contended_admission`.
 
 use aipow_netsim::contended::{contended_path_with, drive, AdmissionPath};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -19,9 +19,10 @@
 //!   scan, 4 Ki → 64 Ki: the linear amplifier the migration removed.
 //!
 //! Throughput is reported per element, so the sharded and global groups
-//! are directly comparable despite the different batch sizes. Set
-//! `AIPOW_BENCH_JSON=BENCH_flood.json` to append machine-readable
-//! results; `bench_gate` compares them against the committed baseline.
+//! are directly comparable despite the different batch sizes.
+//! `bench_gate` holds `eviction_flood` to ≥ 10× `eviction_flood_global`
+//! within the run at each thread count; the capacity sweeps are reported
+//! only.
 
 use aipow_core::sharded::{ShardedMap, DEFAULT_MAX_SCAN};
 use aipow_core::{RateLimiter, TokenBucket};

@@ -10,11 +10,11 @@
 //! - `verify_kernel_batch`: the full `Verifier::verify_batch` path at
 //!   batch sizes 1/8/32/128 with `verify_lanes` pinned to 1 (scalar)
 //!   vs 8 (wide). `bench_gate` asserts the wide/scalar ratio at batch
-//!   32 (`AIPOW_GATE_MIN_WIDE_SPEEDUP`).
+//!   32 (floor 2x).
 //!
 //! The portable kernel only reaches full width when the compiler can
 //! vectorize it — `bench_gate` therefore runs this bench with
-//! `-C target-cpu=native` (see `AIPOW_BENCH_TARGET_CPU`).
+//! `-C target-cpu=native`.
 
 use aipow_bench::{bench_client_ip, BENCH_MASTER_KEY};
 use aipow_crypto::hmac::HmacKey;
@@ -184,17 +184,15 @@ const SOLVE_ATTEMPTS: u64 = 64;
 ///   submissions. SHA-256 runs with scalar lanes — the baseline the gate
 ///   names — while memory-hard runs its production path (8 lanes, so its
 ///   independent walks interleave through the wide kernel). `bench_gate`
-///   asserts memory-hard verify stays within
-///   `AIPOW_GATE_MAX_MEMHARD_VERIFY_RATIO` (default 2x) of the SHA-256
-///   scalar cost, so routing floods to memory-hard never meaningfully
-///   taxes the server.
+///   asserts memory-hard verify stays within 2x of the SHA-256 scalar
+///   cost, so routing floods to memory-hard never meaningfully taxes the
+///   server.
 /// - `solve/<backend>/64`: 64 nonce probes through the backend's
 ///   [`aipow_pow::SolveCursor`] with the cursor hoisted (as in a real
 ///   solve run, where its setup amortizes over ~2^d attempts), measuring
 ///   the marginal per-attempt cost — `bench_gate` asserts a memory-hard
-///   attempt costs at least `AIPOW_GATE_MIN_MEMHARD_SOLVE_RATIO`
-///   (default 10x) a SHA-256 attempt, the asymmetry that makes routing
-///   punitive.
+///   attempt costs at least 10x a SHA-256 attempt, the asymmetry that
+///   makes routing punitive.
 fn backend_kernel(c: &mut Criterion) {
     let clock: Arc<dyn TimeSource> = Arc::new(ManualClock::at(1_000_000));
     let registry = BackendRegistry::standard();
