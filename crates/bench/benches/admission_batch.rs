@@ -15,8 +15,10 @@
 //!   `aipow-trace` tracer attached at the default 1-in-64 sampling: the
 //!   cost of the per-context sampled-check branch plus the occasional
 //!   span ring append. Each traced cell is preceded by a
-//!   `batch32_untraced` twin on the plain framework; the trace gate
-//!   ratios those adjacent cells so host drift over the run cancels.
+//!   `batch32_untraced` twin; both frameworks are built fresh for the
+//!   group from one config that differs only in the sampling rate, and
+//!   the trace gate ratios those adjacent cells so host drift over the
+//!   run cancels.
 //!
 //! The acceptance bars (enforced by `bench_gate` within-run, so they are
 //! machine-independent): batch=32 at 4 threads ≥ 1.5× the sequential
@@ -25,7 +27,7 @@
 //! along as the degenerate case — it measures the batch plumbing's
 //! overhead at group size one.
 
-use aipow_core::{Framework, FrameworkBuilder};
+use aipow_core::{Framework, FrameworkBuilder, FrameworkConfig};
 use aipow_policy::LinearPolicy;
 use aipow_reputation::model::FixedScoreModel;
 use aipow_reputation::{FeatureVector, ReputationScore};
@@ -40,31 +42,20 @@ const IPS_PER_THREAD: usize = 1_024;
 const THREADS: [usize; 3] = [1, 4, 8];
 const BATCHES: [usize; 4] = [1, 8, 32, 128];
 
-fn build_framework() -> Framework {
+/// The benched framework; `trace_sample_rate` 0 attaches no tracer, 64
+/// is the production default (1-in-64 sampling, default ring capacity).
+fn build_framework(trace_sample_rate: u64) -> Framework {
     FrameworkBuilder::new()
         .master_key([0x5Au8; 32])
         .model(FixedScoreModel::new(
             ReputationScore::new(5.0).expect("score in range"),
         ))
         .policy(LinearPolicy::policy2())
-        .max_batch(*BATCHES.iter().max().expect("nonempty"))
-        .build()
-        .expect("framework builds")
-}
-
-/// The traced twin: identical configuration plus a tracer at the
-/// production default (1-in-64 sampling, default ring capacity).
-fn build_traced_framework() -> Framework {
-    FrameworkBuilder::new()
-        .master_key([0x5Au8; 32])
-        .model(FixedScoreModel::new(
-            ReputationScore::new(5.0).expect("score in range"),
-        ))
-        .policy(LinearPolicy::policy2())
-        .max_batch(*BATCHES.iter().max().expect("nonempty"))
-        .tracer(std::sync::Arc::new(aipow_trace::Tracer::new(
-            aipow_trace::TraceConfig::default(),
-        )))
+        .config(FrameworkConfig {
+            max_batch: *BATCHES.iter().max().expect("nonempty"),
+            trace_sample_rate,
+            ..Default::default()
+        })
         .build()
         .expect("framework builds")
 }
@@ -98,7 +89,7 @@ fn drive_batched(fw: &Framework, thread_id: usize, features: &FeatureVector, bat
 }
 
 fn admission_batch(c: &mut Criterion) {
-    let fw = build_framework();
+    let fw = build_framework(0);
     let features = FeatureVector::zeros();
 
     let mut group = c.benchmark_group("admission_batch_seq");
@@ -156,8 +147,9 @@ fn admission_batch(c: &mut Criterion) {
     // immediately before it — the gate ratios adjacent cells, so slow
     // clock/thermal drift across a long bench run (the gate runs four
     // bench binaries back to back) cancels out instead of masquerading
-    // as tracing overhead.
-    let traced = build_traced_framework();
+    // as tracing overhead. Both twins start fresh here: neither carries
+    // the audit, ledger and replay state of the groups above.
+    let (untraced, traced) = (build_framework(0), build_framework(64));
     let mut group = c.benchmark_group("admission_batch_traced");
     group.warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_secs(2));
@@ -171,7 +163,7 @@ fn admission_batch(c: &mut Criterion) {
                 b.iter(|| {
                     std::thread::scope(|scope| {
                         for t in 0..n {
-                            let (fw, features) = (&fw, &features);
+                            let (fw, features) = (&untraced, &features);
                             scope.spawn(move || drive_batched(fw, t, features, 32));
                         }
                     });

@@ -268,13 +268,18 @@ fn backends_suite() {
         flood_ratio >= 5.0,
         "flood solve cost only rose {flood_ratio:.1}x under memory-hard routing (need ≥ 5x)"
     );
-    // ...while benign clients, still on SHA-256, must not feel it. 2x
-    // headroom absorbs scheduler noise in a wall-clock p99 on shared
-    // runners; the real effect is ≈ 1x.
-    let benign_ratio = report.benign_p99_ratio();
+    // ...while benign clients, still on SHA-256, must not feel it. Exact
+    // form: every benign request got the baseline's puzzle.
+    assert_eq!(
+        report.benign_divergences, 0,
+        "routing changed a benign client's backend or difficulty"
+    );
+    // Wall-clock form, on the median: over 200 samples the p99 is the
+    // second-largest, so one preemption would decide it; it is printed.
+    let benign_ratio = report.benign_p50_ratio();
     assert!(
         benign_ratio < 2.0,
-        "benign p99 grew {benign_ratio:.2}x under backend routing (must stay flat)"
+        "benign median grew {benign_ratio:.2}x under backend routing (must stay flat)"
     );
     // The seam claim: scalar-lane and wide-lane verdicts identical over
     // a mixed SHA/memory-hard schedule with staged corruptions.
@@ -286,8 +291,9 @@ fn backends_suite() {
     assert!(report.rejected > 0, "schedule must exercise rejections");
     println!("{}", backends_to_markdown(&report));
     println!(
-        "   routing exact, flood cost {flood_ratio:.1}x, benign p99 {benign_ratio:.2}x, \
-         {} verdicts identical -- ok",
+        "   routing exact, flood cost {flood_ratio:.1}x, benign p50 {benign_ratio:.2}x \
+         (p99 {:.2}x, not gated), {} verdicts identical -- ok",
+        report.benign_p99_ratio(),
         report.verify_submissions
     );
 }

@@ -3,7 +3,8 @@
 use crate::args::Args;
 use crate::CliError;
 use aipow_core::config::ConfigError;
-use aipow_core::{framework::random_master_key, Framework, FrameworkConfig, StaticFeatureSource};
+use aipow_core::framework::{random_master_key, BuildError};
+use aipow_core::{Framework, FrameworkBuilder, FrameworkConfig, StaticFeatureSource};
 use aipow_net::{PowClient, PowServer, ServerConfig};
 use aipow_pow::solver::{self, SolverOptions};
 use aipow_pow::{Difficulty, Issuer};
@@ -40,8 +41,9 @@ const SERVE_FLAGS: &[&str] = &[
 ];
 
 /// What `aipow serve` decided from its flags, before any socket exists:
-/// the framework (built through [`FrameworkConfig::apply`], the one
-/// validator of every framework knob) and the connection-layer config.
+/// the framework (built from a [`FrameworkConfig`], whose
+/// [`validate`](FrameworkConfig::validate) is the one validator of every
+/// framework knob) and the connection-layer config.
 struct ServePlan {
     addr: String,
     framework: Arc<Framework>,
@@ -65,7 +67,7 @@ fn serve_plan(raw: &[String]) -> Result<ServePlan, CliError> {
         ReputationScore::new(score).map_err(|e| CliError::usage(format!("--score: {e}")))?;
 
     let defaults = FrameworkConfig::default();
-    let framework = FrameworkConfig {
+    let config = FrameworkConfig {
         policy_spec: args.get("policy").unwrap_or(&defaults.policy_spec).into(),
         bypass_threshold: args.get_opt("bypass", "a score in [0,10]")?,
         max_batch: args.get_parsed("max-batch", defaults.max_batch, "a positive integer")?,
@@ -84,13 +86,16 @@ fn serve_plan(raw: &[String]) -> Result<ServePlan, CliError> {
             "a positive integer",
         )?,
         ..defaults
-    }
-    .apply()
-    .map_err(config_usage)?
-    .master_key(key)
-    .model(FixedScoreModel::new(score))
-    .build()
-    .map_err(|e| CliError::runtime(e.to_string()))?;
+    };
+    let framework = FrameworkBuilder::new()
+        .config(config)
+        .master_key(key)
+        .model(FixedScoreModel::new(score))
+        .build()
+        .map_err(|e| match e {
+            BuildError::Config(e) => config_usage(e),
+            e => CliError::runtime(e.to_string()),
+        })?;
 
     let mut resources = HashMap::new();
     for spec in args.get_all("resource") {
@@ -667,7 +672,6 @@ fn parse_key(hex: &str) -> Result<[u8; 32], CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aipow_core::FrameworkBuilder;
 
     fn strings(tokens: &[&str]) -> Vec<String> {
         tokens.iter().map(|s| s.to_string()).collect()

@@ -120,6 +120,11 @@ impl AuditLog {
         self.shards.shard_count()
     }
 
+    /// The most events the log retains.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Appends an event, evicting the oldest if full.
     ///
     /// Under contention two recorders may land in the same shard with

@@ -1,28 +1,38 @@
 //! Declarative framework configuration.
 //!
-//! Everything an operator tunes — which policy, TTLs, caps, bypass — can be
-//! expressed as data and applied to a [`FrameworkBuilder`], so deployments
-//! can keep their admission posture in version-controlled config.
+//! Everything an operator tunes — which policy, TTLs, caps, bypass — is
+//! plain data in a [`FrameworkConfig`], handed to
+//! [`FrameworkBuilder::config`](crate::FrameworkBuilder::config), so
+//! deployments can keep their admission posture in version-controlled
+//! config. Each knob is declared, defaulted and checked here only.
 
-use crate::framework::FrameworkBuilder;
 use aipow_policy::registry;
 use aipow_pow::Difficulty;
-use aipow_trace::{TraceConfig, Tracer};
+use aipow_trace::TraceConfig;
 use core::fmt;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-/// Serializable framework settings.
+/// Default ceiling on the group size the batch entry points process per
+/// pipeline pass (see [`FrameworkConfig::max_batch`]).
+pub const DEFAULT_MAX_BATCH: usize = 32;
+
+/// Serializable framework settings; every field is checked by
+/// [`validate`](Self::validate), which the builder runs before it builds.
 ///
 /// ```
-/// use aipow_core::FrameworkConfig;
+/// use aipow_core::{FrameworkBuilder, FrameworkConfig};
+/// use aipow_reputation::{model::FixedScoreModel, ReputationScore};
 /// let config = FrameworkConfig {
 ///     policy_spec: "policy3:eps=1.5".into(),
 ///     ..Default::default()
 /// };
-/// let builder = config.apply()?; // still needs .model(..) and .master_key(..)
-/// # let _ = builder;
-/// # Ok::<(), aipow_core::config::ConfigError>(())
+/// let framework = FrameworkBuilder::new()
+///     .config(config)
+///     .model(FixedScoreModel::new(ReputationScore::MIN))
+///     .master_key([1u8; 32])
+///     .build()?;
+/// assert_eq!(framework.policy_name(), "policy3");
+/// # Ok::<(), aipow_core::BuildError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
@@ -231,7 +241,7 @@ impl Default for FrameworkConfig {
             ledger_capacity: 4_096,
             shard_count: None,
             eviction_max_scan: aipow_shard::DEFAULT_MAX_SCAN,
-            max_batch: crate::framework::DEFAULT_MAX_BATCH,
+            max_batch: DEFAULT_MAX_BATCH,
             lanes: None,
             memory_hard_above: None,
             memory_hard_arena_mib: None,
@@ -383,21 +393,21 @@ impl From<registry::SpecError> for ConfigError {
 }
 
 impl FrameworkConfig {
-    /// Validates the config and produces a pre-populated builder. The
-    /// caller still supplies the model and master key (neither is sensibly
-    /// expressible as plain data).
+    /// Checks every field, including that the policy spec resolves.
+    /// [`FrameworkBuilder::build`](crate::FrameworkBuilder::build) calls
+    /// this first, so no out-of-range value reaches a constructor.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for invalid field values or an unresolvable
     /// policy spec.
-    pub fn apply(&self) -> Result<FrameworkBuilder, ConfigError> {
-        let policy = registry::from_spec(&self.policy_spec, self.policy_seed)?;
-        let cap = Difficulty::new(self.difficulty_cap_bits).map_err(|_| {
-            ConfigError::BadDifficultyCap {
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        registry::from_spec(&self.policy_spec, self.policy_seed)?;
+        if Difficulty::new(self.difficulty_cap_bits).is_err() {
+            return Err(ConfigError::BadDifficultyCap {
                 bits: self.difficulty_cap_bits,
-            }
-        })?;
+            });
+        }
         if self.replay_capacity == 0 {
             return Err(ConfigError::ZeroCapacity { field: "replay" });
         }
@@ -420,82 +430,61 @@ impl FrameworkConfig {
         if self.max_batch == 0 {
             return Err(ConfigError::BadMaxBatch { requested: 0 });
         }
-
-        // Each optional knob is checked and handed to the builder in one
-        // place, so a bound cannot be validated and then not applied.
-        let mut builder = FrameworkBuilder::new()
-            .policy_boxed(policy)
-            .ttl_ms(self.ttl_ms)
-            .replay_capacity(self.replay_capacity)
-            .difficulty_cap(cap)
-            .max_skew_ms(self.max_skew_ms)
-            .audit_capacity(self.audit_capacity)
-            .ledger_capacity(self.ledger_capacity)
-            .eviction_max_scan(self.eviction_max_scan)
-            .max_batch(self.max_batch);
         let is_score = |t: f64| t.is_finite() && (0.0..=10.0).contains(&t);
         if let Some(shards) = self.shard_count {
             if shards == 0 || shards > aipow_shard::MAX_SHARDS {
                 return Err(ConfigError::BadShardCount { requested: shards });
             }
-            builder = builder.shard_count(shards);
         }
         if let Some(lanes) = self.lanes {
             if lanes == 0 || lanes > aipow_crypto::MAX_LANES {
                 return Err(ConfigError::BadVerifyLanes { requested: lanes });
             }
-            builder = builder.lanes(lanes);
         }
         if let Some(t) = self.bypass_threshold {
             if !is_score(t) {
                 return Err(ConfigError::BadBypassThreshold { value: t });
             }
-            builder = builder.bypass_threshold(t);
         }
         if let Some(t) = self.memory_hard_above {
             if !is_score(t) {
                 return Err(ConfigError::BadRoutingThreshold { value: t });
             }
-            builder = builder.route_memory_hard_above(t);
         }
         if let Some(mib) = self.memory_hard_arena_mib {
             if !aipow_crypto::memmix::validate_arena_mib(mib) {
                 return Err(ConfigError::BadArenaMib { requested: mib });
             }
-            builder = builder.memory_hard_arena_mib(mib);
         }
-        if self.trace_sample_rate > 0 {
-            if self.flight_recorder_capacity == 0 {
-                return Err(ConfigError::ZeroCapacity {
-                    field: "flight recorder",
-                });
-            }
-            builder = builder.tracer(Arc::new(Tracer::new(TraceConfig {
-                sample_every: self.trace_sample_rate,
-                ring_capacity: self.flight_recorder_capacity,
-                ..TraceConfig::default()
-            })));
+        if self.trace_sample_rate > 0 && self.flight_recorder_capacity == 0 {
+            return Err(ConfigError::ZeroCapacity {
+                field: "flight recorder",
+            });
         }
-        Ok(builder)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Framework, FrameworkBuilder};
     use aipow_reputation::model::FixedScoreModel;
     use aipow_reputation::{FeatureVector, ReputationScore};
     use std::net::{IpAddr, Ipv4Addr};
 
-    #[test]
-    fn default_config_applies() {
-        let fw = FrameworkConfig::default()
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
+    fn built(config: FrameworkConfig, score: ReputationScore) -> Framework {
+        FrameworkBuilder::new()
+            .config(config)
+            .model(FixedScoreModel::new(score))
             .master_key([1u8; 32])
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn default_config_applies() {
+        let fw = built(FrameworkConfig::default(), ReputationScore::MIN);
         assert_eq!(fw.policy_name(), "policy2");
     }
 
@@ -505,13 +494,7 @@ mod tests {
             policy_spec: "policy1".into(),
             ..Default::default()
         };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
+        let fw = built(config, ReputationScore::MIN);
         let issued = fw
             .handle_request(IpAddr::V4(Ipv4Addr::LOCALHOST), &FeatureVector::zeros())
             .challenge()
@@ -525,13 +508,7 @@ mod tests {
             policy_spec: "policy \"cfg\" { otherwise => difficulty 3; }".into(),
             ..Default::default()
         };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MAX))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
+        let fw = built(config, ReputationScore::MAX);
         assert_eq!(fw.policy_name(), "cfg");
     }
 
@@ -541,7 +518,7 @@ mod tests {
             policy_spec: "not-a-policy".into(),
             ..Default::default()
         };
-        assert!(matches!(config.apply(), Err(ConfigError::Policy(_))));
+        assert!(matches!(config.validate(), Err(ConfigError::Policy(_))));
     }
 
     #[test]
@@ -551,7 +528,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            config.apply().unwrap_err(),
+            config.validate().unwrap_err(),
             ConfigError::BadDifficultyCap { bits: 65 }
         );
     }
@@ -582,7 +559,7 @@ mod tests {
             ),
         ] {
             assert_eq!(
-                config.apply().unwrap_err(),
+                config.validate().unwrap_err(),
                 ConfigError::ZeroCapacity { field },
             );
         }
@@ -597,7 +574,7 @@ mod tests {
             replay_capacity: max + 1,
             ..Default::default()
         };
-        let err = config.apply().unwrap_err();
+        let err = config.validate().unwrap_err();
         assert_eq!(
             err,
             ConfigError::CapacityTooLarge {
@@ -611,7 +588,7 @@ mod tests {
             replay_capacity: max,
             ..Default::default()
         };
-        assert!(at_max.apply().is_ok());
+        assert!(at_max.validate().is_ok());
     }
 
     #[test]
@@ -620,13 +597,7 @@ mod tests {
             shard_count: Some(4),
             ..Default::default()
         };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
+        let fw = built(config, ReputationScore::MIN);
         assert_eq!(fw.audit().shard_count(), 4);
         // The ledger raises the requested count so its eviction scan
         // stays under the default bound: 4096 / 512 = 8 shards minimum.
@@ -642,13 +613,7 @@ mod tests {
             shard_count: Some(4),
             ..Default::default()
         };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
+        let fw = built(config, ReputationScore::MIN);
         assert!(fw.ledger().per_shard_capacity() <= 64);
         assert!(fw.ledger().shard_count() >= 4_096 / 64);
     }
@@ -659,13 +624,7 @@ mod tests {
             max_batch: 128,
             ..Default::default()
         };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
+        let fw = built(config, ReputationScore::MIN);
         assert_eq!(fw.max_batch(), 128);
         assert_eq!(FrameworkConfig::default().max_batch, 32);
     }
@@ -676,23 +635,11 @@ mod tests {
             lanes: Some(4),
             ..Default::default()
         };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
+        let fw = built(config, ReputationScore::MIN);
         assert_eq!(fw.verifier().verify_lanes(), 4);
         // The default defers to hardware detection: always a valid width.
         assert_eq!(FrameworkConfig::default().lanes, None);
-        let auto = FrameworkConfig::default()
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
+        let auto = built(FrameworkConfig::default(), ReputationScore::MIN);
         assert!((1..=aipow_crypto::MAX_LANES).contains(&auto.verifier().verify_lanes()));
     }
 
@@ -704,7 +651,7 @@ mod tests {
                 ..Default::default()
             };
             assert_eq!(
-                config.apply().unwrap_err(),
+                config.validate().unwrap_err(),
                 ConfigError::BadVerifyLanes { requested },
                 "lanes {requested} should be rejected"
             );
@@ -721,13 +668,7 @@ mod tests {
             memory_hard_arena_mib: Some(1),
             ..Default::default()
         };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MAX))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
+        let fw = built(config, ReputationScore::MAX);
         // Score 10 ≥ 6: the issued challenge must be memory-hard, with
         // the configured arena parameter.
         let issued = fw
@@ -749,7 +690,10 @@ mod tests {
                 ..Default::default()
             };
             assert!(
-                matches!(config.apply(), Err(ConfigError::BadRoutingThreshold { .. })),
+                matches!(
+                    config.validate(),
+                    Err(ConfigError::BadRoutingThreshold { .. })
+                ),
                 "threshold {value} should be rejected"
             );
         }
@@ -763,7 +707,7 @@ mod tests {
                 ..Default::default()
             };
             assert_eq!(
-                config.apply().unwrap_err(),
+                config.validate().unwrap_err(),
                 ConfigError::BadArenaMib { requested },
                 "arena size {requested} should be rejected"
             );
@@ -777,7 +721,7 @@ mod tests {
                 memory_hard_arena_mib: Some(requested),
                 ..Default::default()
             };
-            assert!(config.apply().is_ok(), "arena size {requested} is valid");
+            assert!(config.validate().is_ok(), "arena size {requested} is valid");
         }
         assert!(ConfigError::BadArenaMib { requested: 0 }
             .to_string()
@@ -791,7 +735,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            config.apply().unwrap_err(),
+            config.validate().unwrap_err(),
             ConfigError::BadMaxBatch { requested: 0 }
         );
         assert!(ConfigError::BadMaxBatch { requested: 0 }
@@ -806,7 +750,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            config.apply().unwrap_err(),
+            config.validate().unwrap_err(),
             ConfigError::BadMaxScan { requested: 0 }
         );
     }
@@ -819,7 +763,7 @@ mod tests {
                 ..Default::default()
             };
             assert_eq!(
-                config.apply().unwrap_err(),
+                config.validate().unwrap_err(),
                 ConfigError::BadShardCount { requested },
                 "shard_count {requested} should be rejected"
             );
@@ -834,7 +778,7 @@ mod tests {
                 ..Default::default()
             };
             assert!(matches!(
-                config.apply(),
+                config.validate(),
                 Err(ConfigError::BadBypassThreshold { .. })
             ));
         }
@@ -890,26 +834,17 @@ mod tests {
     #[test]
     fn trace_sampling_threads_through_config() {
         // Default: off — no tracer attached, hot path pays nothing.
-        let off = FrameworkConfig::default()
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
+        let off = built(FrameworkConfig::default(), ReputationScore::MIN);
         assert!(off.tracer().is_none());
 
-        let on = FrameworkConfig {
-            trace_sample_rate: 1,
-            flight_recorder_capacity: 256,
-            ..Default::default()
-        }
-        .apply()
-        .unwrap()
-        .model(FixedScoreModel::new(ReputationScore::MIN))
-        .master_key([1u8; 32])
-        .build()
-        .unwrap();
+        let on = built(
+            FrameworkConfig {
+                trace_sample_rate: 1,
+                flight_recorder_capacity: 256,
+                ..Default::default()
+            },
+            ReputationScore::MIN,
+        );
         let tracer = on.tracer().expect("tracer attached via config");
         assert_eq!(tracer.sample_every(), 1);
         on.handle_request(IpAddr::V4(Ipv4Addr::LOCALHOST), &FeatureVector::zeros());
@@ -924,7 +859,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            config.apply().unwrap_err(),
+            config.validate().unwrap_err(),
             ConfigError::ZeroCapacity {
                 field: "flight recorder"
             }
@@ -935,7 +870,7 @@ mod tests {
             flight_recorder_capacity: 0,
             ..Default::default()
         };
-        assert!(off.apply().is_ok());
+        assert!(off.validate().is_ok());
     }
 
     #[test]

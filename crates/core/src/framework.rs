@@ -1,19 +1,20 @@
 //! The admission pipeline: Figure 1 as a value.
 
 use crate::audit::AuditLog;
+use crate::config::{ConfigError, FrameworkConfig};
 use crate::cost::CostLedger;
 use crate::metrics::FrameworkMetrics;
 use crate::pipeline::{self, RequestCtx, SolutionCtx};
 use crate::sync::{AtomicBool, AtomicU64, OnceLock, Ordering, RwLock};
 use crate::tap::BehaviorSink;
-use aipow_policy::{BackendRouter, Policy, Sha256Router, ThresholdRouter};
+use aipow_policy::{registry, BackendRouter, Policy, Sha256Router, ThresholdRouter};
 use aipow_pow::replay::ReplayGuard;
 use aipow_pow::{
     BackendId, Challenge, Difficulty, Issuer, ManualClock, Solution, SystemClock, TimeSource,
     VerifiedToken, Verifier, VerifyError,
 };
 use aipow_reputation::{FeatureVector, ReputationModel, ReputationScore};
-use aipow_trace::{Tracer, TriggerStats};
+use aipow_trace::{TraceConfig, Tracer, TriggerStats};
 use core::fmt;
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -58,12 +59,12 @@ impl AdmissionDecision {
 }
 
 /// Error from [`FrameworkBuilder::build`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
+    /// The [`FrameworkConfig`] failed [`FrameworkConfig::validate`].
+    Config(ConfigError),
     /// No reputation model was provided.
     MissingModel,
-    /// No policy was provided.
-    MissingPolicy,
     /// No master key was provided.
     MissingMasterKey,
 }
@@ -71,8 +72,8 @@ pub enum BuildError {
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            BuildError::Config(e) => write!(f, "framework config: {e}"),
             BuildError::MissingModel => write!(f, "framework requires a reputation model"),
-            BuildError::MissingPolicy => write!(f, "framework requires a policy"),
             BuildError::MissingMasterKey => write!(f, "framework requires a master key"),
         }
     }
@@ -80,32 +81,20 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Builder for [`Framework`]; see the crate-level example.
+/// Builder for [`Framework`]; see the crate-level example. Every knob that
+/// is plain data lives in its [`FrameworkConfig`]; the builder adds only
+/// what data cannot express: the model, an explicit policy, router or
+/// tracer, the master key, the clock and the behavioral tap.
 pub struct FrameworkBuilder {
+    config: FrameworkConfig,
     model: Option<Arc<dyn ReputationModel>>,
     policy: Option<Box<dyn Policy>>,
     master_key: Option<[u8; 32]>,
     clock: Arc<dyn TimeSource>,
-    ttl_ms: u64,
-    replay_capacity: usize,
-    difficulty_cap: Difficulty,
-    max_skew_ms: u64,
-    bypass_threshold: Option<f64>,
-    audit_capacity: usize,
-    ledger_capacity: usize,
-    shard_count: Option<usize>,
-    eviction_max_scan: usize,
-    behavior_sink: Option<Arc<dyn BehaviorSink>>,
-    max_batch: usize,
-    lanes: Option<usize>,
     router: Option<Arc<dyn BackendRouter>>,
-    memory_hard_arena_mib: Option<u8>,
+    sink: Option<Arc<dyn BehaviorSink>>,
     tracer: Option<Arc<Tracer>>,
 }
-
-/// Default ceiling on the group size the batch entry points process per
-/// pipeline pass (see [`FrameworkBuilder::max_batch`]).
-pub const DEFAULT_MAX_BATCH: usize = 32;
 
 impl Default for FrameworkBuilder {
     fn default() -> Self {
@@ -114,30 +103,25 @@ impl Default for FrameworkBuilder {
 }
 
 impl FrameworkBuilder {
-    /// Starts a builder with production defaults: 30 s TTL, 2 s skew,
-    /// difficulty cap 40, 1 Mi replay slots, no bypass.
+    /// Starts a builder from [`FrameworkConfig::default`] and the system
+    /// clock.
     pub fn new() -> Self {
         FrameworkBuilder {
+            config: FrameworkConfig::default(),
             model: None,
             policy: None,
             master_key: None,
             clock: Arc::new(SystemClock),
-            ttl_ms: aipow_pow::issuer::DEFAULT_TTL_MS,
-            replay_capacity: aipow_pow::replay::DEFAULT_CAPACITY,
-            difficulty_cap: Difficulty::saturating(40),
-            max_skew_ms: aipow_pow::verifier::DEFAULT_MAX_SKEW_MS,
-            bypass_threshold: None,
-            audit_capacity: 1_024,
-            ledger_capacity: 4_096,
-            shard_count: None,
-            eviction_max_scan: aipow_shard::DEFAULT_MAX_SCAN,
-            behavior_sink: None,
-            max_batch: DEFAULT_MAX_BATCH,
-            lanes: None,
             router: None,
-            memory_hard_arena_mib: None,
+            sink: None,
             tracer: None,
         }
+    }
+
+    /// Sets every data knob at once; [`build`](Self::build) checks them.
+    pub fn config(mut self, config: FrameworkConfig) -> Self {
+        self.config = config;
+        self
     }
 
     /// Sets the reputation model (required).
@@ -152,13 +136,15 @@ impl FrameworkBuilder {
         self
     }
 
-    /// Sets the policy (required).
+    /// Sets the policy, overriding the config's
+    /// [`policy_spec`](FrameworkConfig::policy_spec).
     pub fn policy<P: Policy + 'static>(mut self, policy: P) -> Self {
         self.policy = Some(Box::new(policy));
         self
     }
 
-    /// Sets the policy from a boxed trait object.
+    /// Sets the policy from a boxed trait object (same precedence as
+    /// [`policy`](Self::policy)).
     pub fn policy_boxed(mut self, policy: Box<dyn Policy>) -> Self {
         self.policy = Some(policy);
         self
@@ -186,131 +172,12 @@ impl FrameworkBuilder {
         (self, clock)
     }
 
-    /// Challenge TTL in milliseconds.
-    pub fn ttl_ms(mut self, ttl: u64) -> Self {
-        self.ttl_ms = ttl;
-        self
-    }
-
-    /// Replay-guard capacity in entries.
-    pub fn replay_capacity(mut self, capacity: usize) -> Self {
-        self.replay_capacity = capacity;
-        self
-    }
-
-    /// Maximum difficulty the verifier will accept.
-    pub fn difficulty_cap(mut self, cap: Difficulty) -> Self {
-        self.difficulty_cap = cap;
-        self
-    }
-
-    /// Tolerated clock skew in milliseconds.
-    pub fn max_skew_ms(mut self, skew: u64) -> Self {
-        self.max_skew_ms = skew;
-        self
-    }
-
-    /// Admits clients scoring strictly below `threshold` without a puzzle.
-    ///
-    /// Off by default: the paper's design has *every* client pay a cost.
-    /// This extension trades that property for zero added latency on
-    /// clearly trusted traffic.
-    pub fn bypass_threshold(mut self, threshold: f64) -> Self {
-        self.bypass_threshold = Some(threshold);
-        self
-    }
-
-    /// Audit-log capacity in events.
-    pub fn audit_capacity(mut self, capacity: usize) -> Self {
-        self.audit_capacity = capacity;
-        self
-    }
-
-    /// Cost-ledger capacity in clients.
-    pub fn ledger_capacity(mut self, capacity: usize) -> Self {
-        self.ledger_capacity = capacity;
-        self
-    }
-
-    /// Shard count for every per-client structure (replay guard, audit
-    /// log, cost ledger), rounded up to a power of two. Defaults to an
-    /// automatic per-structure choice: a multiple of the machine's
-    /// available parallelism, reduced for small capacities. The
-    /// capacity-evicting structures (cost ledger) additionally raise the
-    /// count so no eviction scan exceeds
-    /// [`eviction_max_scan`](Self::eviction_max_scan).
-    pub fn shard_count(mut self, shards: usize) -> Self {
-        self.shard_count = Some(shards);
-        self
-    }
-
-    /// Bound on the entries one capacity-eviction victim scan may visit
-    /// (the worst-case hot-path cost of an insert at capacity). The
-    /// ledger's shard count is raised as needed to honor it. Defaults to
-    /// [`aipow_shard::DEFAULT_MAX_SCAN`].
-    ///
-    /// # Panics
-    ///
-    /// [`build`](Self::build) panics (via the ledger constructor) if set
-    /// to zero; [`crate::FrameworkConfig`] validates it instead.
-    pub fn eviction_max_scan(mut self, max_scan: usize) -> Self {
-        self.eviction_max_scan = max_scan;
-        self
-    }
-
-    /// Ceiling on the group size the batch entry points
-    /// ([`Framework::handle_request_batch`],
-    /// [`Framework::handle_solution_batch`]) push through one pipeline
-    /// pass. Larger inputs are processed in chunks of this size, which
-    /// bounds how long one batch holds the policy read-lock, the DRBG
-    /// lock, and each audit/ledger shard lock; the TCP server drains up to
-    /// this many pipelined frames per dispatch, so one knob sizes both.
-    /// Clamped to a minimum of 1. Defaults to [`DEFAULT_MAX_BATCH`].
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Lane width for the verifier's multi-buffer SHA-256 kernel: how
-    /// many challenge MACs / work digests batched verification hashes
-    /// per compression loop (clamped to 1..=8; 1 forces the scalar
-    /// path). Purely a performance knob — every width computes identical
-    /// outcomes. Defaults to auto-detection
-    /// ([`aipow_crypto::auto_lanes`]): 8 where the build can use 256-bit
-    /// vectors, else 4. Fixed for the framework's lifetime.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = Some(lanes);
-        self
-    }
-
     /// Routes each client to a puzzle backend by reputation score (see
-    /// [`aipow_policy::BackendRouter`]). Defaults to
-    /// [`Sha256Router`]: every client gets the SHA-256 preimage puzzle,
-    /// the pre-routing behavior.
+    /// [`aipow_policy::BackendRouter`]), overriding the config's
+    /// [`memory_hard_above`](FrameworkConfig::memory_hard_above). Without
+    /// either, every client gets the SHA-256 puzzle ([`Sha256Router`]).
     pub fn backend_router(mut self, router: Arc<dyn BackendRouter>) -> Self {
         self.router = Some(router);
-        self
-    }
-
-    /// Convenience for the common routing rule: clients scoring at or
-    /// above `threshold` (higher = more suspicious) get the memory-hard
-    /// puzzle; everyone else keeps SHA-256. Equivalent to
-    /// `backend_router(Arc::new(ThresholdRouter::new(threshold)))`.
-    pub fn route_memory_hard_above(self, threshold: f64) -> Self {
-        self.backend_router(Arc::new(ThresholdRouter::new(threshold)))
-    }
-
-    /// Arena size in MiB minted into memory-hard challenges. Defaults to
-    /// the backend default
-    /// ([`aipow_crypto::memmix::DEFAULT_ARENA_MIB`]).
-    ///
-    /// # Panics
-    ///
-    /// [`build`](Self::build) panics (via the issuer) on an
-    /// out-of-bounds size; [`crate::FrameworkConfig`] validates it with
-    /// a typed error instead.
-    pub fn memory_hard_arena_mib(mut self, mib: u8) -> Self {
-        self.memory_hard_arena_mib = Some(mib);
         self
     }
 
@@ -319,54 +186,65 @@ impl FrameworkBuilder {
     /// can alternatively be attached once after build with
     /// [`Framework::set_behavior_sink`].
     pub fn behavior_sink(mut self, sink: Arc<dyn BehaviorSink>) -> Self {
-        self.behavior_sink = Some(sink);
+        self.sink = Some(sink);
         self
     }
 
-    /// Attaches a request tracer: sampled requests get trace IDs and each
-    /// pipeline stage emits a span (see [`aipow_trace::Tracer`]). Off by
-    /// default. Can alternatively be attached once after build with
+    /// Attaches a request tracer (see [`aipow_trace::Tracer`]), overriding
+    /// the one the config's
+    /// [`trace_sample_rate`](FrameworkConfig::trace_sample_rate) would
+    /// make. Can alternatively be attached once after build with
     /// [`Framework::set_tracer`].
     pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
     }
 
-    /// Builds the framework.
+    /// Builds the framework. An explicit policy, router or tracer wins
+    /// over what the config would make of its policy spec, routing
+    /// threshold and sampling rate.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the model, policy, or master key is
-    /// missing.
+    /// Returns [`BuildError::Config`] with what
+    /// [`FrameworkConfig::validate`] rejects, else a [`BuildError`] naming
+    /// the missing model or master key.
     pub fn build(self) -> Result<Framework, BuildError> {
+        let cfg = self.config;
+        cfg.validate().map_err(BuildError::Config)?;
         let model = self.model.ok_or(BuildError::MissingModel)?;
-        let policy = self.policy.ok_or(BuildError::MissingPolicy)?;
         let master_key = self.master_key.ok_or(BuildError::MissingMasterKey)?;
+        let policy = match self.policy {
+            Some(policy) => policy,
+            None => registry::from_spec(&cfg.policy_spec, cfg.policy_seed)
+                .map_err(|e| BuildError::Config(e.into()))?,
+        };
+        let router = self.router.unwrap_or_else(|| match cfg.memory_hard_above {
+            Some(threshold) => Arc::new(ThresholdRouter::new(threshold)),
+            None => Arc::new(Sha256Router),
+        });
 
-        let replay = match self.shard_count {
-            Some(shards) => ReplayGuard::with_shards(self.replay_capacity, shards),
-            None => ReplayGuard::new(self.replay_capacity),
+        let replay = match cfg.shard_count {
+            Some(shards) => ReplayGuard::with_shards(cfg.replay_capacity, shards),
+            None => ReplayGuard::new(cfg.replay_capacity),
         };
-        let audit = match self.shard_count {
-            Some(shards) => AuditLog::with_shards(self.audit_capacity, shards),
-            None => AuditLog::new(self.audit_capacity),
+        let audit = match cfg.shard_count {
+            Some(shards) => AuditLog::with_shards(cfg.audit_capacity, shards),
+            None => AuditLog::new(cfg.audit_capacity),
         };
-        let ledger = CostLedger::with_layout(
-            self.ledger_capacity,
-            self.shard_count,
-            self.eviction_max_scan,
-        );
+        let ledger =
+            CostLedger::with_layout(cfg.ledger_capacity, cfg.shard_count, cfg.eviction_max_scan);
 
         let mut issuer =
-            Issuer::with_clock(&master_key, Arc::clone(&self.clock)).with_ttl_ms(self.ttl_ms);
-        if let Some(mib) = self.memory_hard_arena_mib {
+            Issuer::with_clock(&master_key, Arc::clone(&self.clock)).with_ttl_ms(cfg.ttl_ms);
+        if let Some(mib) = cfg.memory_hard_arena_mib {
             issuer = issuer.with_backend_param(BackendId::MEMORY_HARD, mib);
         }
         let mut verifier = Verifier::with_clock(&master_key, Arc::clone(&self.clock))
             .with_replay_guard(replay)
-            .with_difficulty_cap(self.difficulty_cap)
-            .with_max_skew_ms(self.max_skew_ms);
-        if let Some(lanes) = self.lanes {
+            .with_difficulty_cap(Difficulty::saturating(cfg.difficulty_cap_bits.into()))
+            .with_max_skew_ms(cfg.max_skew_ms);
+        if let Some(lanes) = cfg.lanes {
             verifier = verifier.with_verify_lanes(lanes);
         }
 
@@ -378,18 +256,24 @@ impl FrameworkBuilder {
         metrics.ledger_shards.set(ledger.shard_count() as i64);
 
         let sink = OnceLock::new();
-        if let Some(s) = self.behavior_sink {
+        if let Some(s) = self.sink {
             let _ = sink.set(s);
         }
         let tracer = OnceLock::new();
         if let Some(t) = self.tracer {
             let _ = tracer.set(t);
+        } else if cfg.trace_sample_rate > 0 {
+            let _ = tracer.set(Arc::new(Tracer::new(TraceConfig {
+                sample_every: cfg.trace_sample_rate,
+                ring_capacity: cfg.flight_recorder_capacity,
+                ..TraceConfig::default()
+            })));
         }
 
         Ok(Framework {
             model,
             policy: RwLock::new(policy),
-            router: self.router.unwrap_or_else(|| Arc::new(Sha256Router)),
+            router,
             issuer,
             verifier,
             metrics,
@@ -398,8 +282,8 @@ impl FrameworkBuilder {
             clock: self.clock,
             load_millis: AtomicU64::new(0),
             under_attack: AtomicBool::new(false),
-            bypass_threshold: self.bypass_threshold,
-            max_batch: self.max_batch,
+            bypass_threshold: cfg.bypass_threshold,
+            max_batch: cfg.max_batch,
             sink,
             tracer,
         })
@@ -409,9 +293,9 @@ impl FrameworkBuilder {
 impl fmt::Debug for FrameworkBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FrameworkBuilder")
+            .field("config", &self.config)
             .field("has_model", &self.model.is_some())
             .field("has_policy", &self.policy.is_some())
-            .field("ttl_ms", &self.ttl_ms)
             .finish_non_exhaustive()
     }
 }
@@ -569,7 +453,7 @@ impl Framework {
     }
 
     /// The ceiling on the group size one batch pipeline pass processes
-    /// (see [`FrameworkBuilder::max_batch`]).
+    /// (see [`FrameworkConfig::max_batch`]).
     pub fn max_batch(&self) -> usize {
         self.max_batch
     }
@@ -924,7 +808,10 @@ mod tests {
             .master_key([9u8; 32])
             .model(FixedScoreModel::new(ReputationScore::new(1.0).unwrap()))
             .policy(LinearPolicy::policy1())
-            .bypass_threshold(2.0)
+            .config(FrameworkConfig {
+                bypass_threshold: Some(2.0),
+                ..Default::default()
+            })
             .build()
             .unwrap();
         let decision = fw.handle_request(ip(7), &FeatureVector::zeros());
@@ -938,7 +825,10 @@ mod tests {
             .master_key([9u8; 32])
             .model(FixedScoreModel::new(ReputationScore::new(2.0).unwrap()))
             .policy(LinearPolicy::policy1())
-            .bypass_threshold(2.0)
+            .config(FrameworkConfig {
+                bypass_threshold: Some(2.0),
+                ..Default::default()
+            })
             .build()
             .unwrap();
         let decision = fw.handle_request(ip(8), &FeatureVector::zeros());
@@ -1020,18 +910,105 @@ mod tests {
         assert_eq!(
             FrameworkBuilder::new()
                 .model(FixedScoreModel::new(ReputationScore::MIN))
-                .build()
-                .unwrap_err(),
-            BuildError::MissingPolicy
-        );
-        assert_eq!(
-            FrameworkBuilder::new()
-                .model(FixedScoreModel::new(ReputationScore::MIN))
                 .policy(LinearPolicy::policy1())
                 .build()
                 .unwrap_err(),
             BuildError::MissingMasterKey
         );
+        // No explicit policy: the config's spec resolves; an explicit
+        // policy wins over it.
+        let with = |policy: Option<LinearPolicy>| {
+            let mut builder = FrameworkBuilder::new()
+                .config(FrameworkConfig {
+                    policy_spec: "policy1".into(),
+                    ..Default::default()
+                })
+                .model(FixedScoreModel::new(ReputationScore::MIN))
+                .master_key([9u8; 32]);
+            if let Some(policy) = policy {
+                builder = builder.policy(policy);
+            }
+            builder.build().unwrap().policy_name()
+        };
+        assert_eq!(with(None), "policy1");
+        assert_eq!(with(Some(LinearPolicy::policy2())), "policy2");
+        assert!(matches!(
+            FrameworkBuilder::new()
+                .config(FrameworkConfig {
+                    policy_spec: "not-a-policy".into(),
+                    ..Default::default()
+                })
+                .build(),
+            Err(BuildError::Config(ConfigError::Policy(_)))
+        ));
+    }
+
+    /// Every value the config rejects is a typed build error, never a
+    /// panic in a constructor or a silent accept: a hostile client scored
+    /// 9 must not pass a bypass threshold of 42.
+    #[test]
+    fn builder_rejects_what_the_config_rejects() {
+        let with = |edit: fn(&mut FrameworkConfig)| {
+            let mut cfg = FrameworkConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        let rows: [(&str, FrameworkConfig); 13] = [
+            ("eviction_max_scan 0", with(|c| c.eviction_max_scan = 0)),
+            ("replay_capacity 0", with(|c| c.replay_capacity = 0)),
+            (
+                "replay_capacity MAX",
+                with(|c| c.replay_capacity = usize::MAX),
+            ),
+            ("audit_capacity 0", with(|c| c.audit_capacity = 0)),
+            ("ledger_capacity 0", with(|c| c.ledger_capacity = 0)),
+            ("arena 0 MiB", with(|c| c.memory_hard_arena_mib = Some(0))),
+            (
+                "arena 200 MiB",
+                with(|c| c.memory_hard_arena_mib = Some(200)),
+            ),
+            ("shard_count 0", with(|c| c.shard_count = Some(0))),
+            ("route NaN", with(|c| c.memory_hard_above = Some(f64::NAN))),
+            ("bypass NaN", with(|c| c.bypass_threshold = Some(f64::NAN))),
+            ("bypass 42", with(|c| c.bypass_threshold = Some(42.0))),
+            ("max_batch 0", with(|c| c.max_batch = 0)),
+            ("lanes 0", with(|c| c.lanes = Some(0))),
+        ];
+        for (name, cfg) in rows {
+            let want = BuildError::Config(cfg.validate().expect_err(name));
+            let got = FrameworkBuilder::new()
+                .config(cfg)
+                .model(FixedScoreModel::new(ReputationScore::new(9.0).unwrap()))
+                .master_key([9u8; 32])
+                .build()
+                .expect_err(name);
+            // Debug, not `==`: a NaN field never equals itself.
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{name}");
+        }
+    }
+
+    #[test]
+    fn builder_defaults_are_the_config_defaults() {
+        let d = FrameworkConfig::default();
+        let fw = FrameworkBuilder::new()
+            .model(FixedScoreModel::new(ReputationScore::MIN))
+            .master_key([9u8; 32])
+            .build()
+            .unwrap();
+        let verifier = fw.verifier();
+        assert_eq!(fw.issuer.ttl_ms(), d.ttl_ms);
+        assert_eq!(verifier.replay_guard().capacity(), d.replay_capacity);
+        assert_eq!(verifier.difficulty_cap().bits(), 40);
+        assert_eq!(verifier.difficulty_cap().bits(), d.difficulty_cap_bits);
+        assert_eq!(verifier.max_skew_ms(), d.max_skew_ms);
+        assert_eq!((fw.audit().capacity(), d.audit_capacity), (1_024, 1_024));
+        assert_eq!((fw.ledger().capacity(), d.ledger_capacity), (4_096, 4_096));
+        assert_eq!((fw.max_batch(), d.max_batch), (32, 32));
+        assert_eq!(verifier.verify_lanes(), aipow_crypto::auto_lanes());
+        assert_eq!(fw.router_name(), "sha256");
+        assert!(fw.tracer().is_none());
+        assert_eq!(fw.policy_name(), "policy2");
+        assert_eq!(fw.bypass_threshold, None);
     }
 
     #[test]
@@ -1040,7 +1017,10 @@ mod tests {
             .master_key([9u8; 32])
             .model(FixedScoreModel::new(ReputationScore::MIN))
             .policy(LinearPolicy::policy1())
-            .ttl_ms(1_000)
+            .config(FrameworkConfig {
+                ttl_ms: 1_000,
+                ..Default::default()
+            })
             .manual_clock(50_000);
         let fw = builder.build().unwrap();
         let issued = fw
@@ -1061,7 +1041,10 @@ mod tests {
             .master_key([9u8; 32])
             .model(FixedScoreModel::new(ReputationScore::MIN))
             .policy(LinearPolicy::policy2())
-            .shard_count(8)
+            .config(FrameworkConfig {
+                shard_count: Some(8),
+                ..Default::default()
+            })
             .build()
             .unwrap();
         let snap = fw.metrics_snapshot();
@@ -1082,7 +1065,10 @@ mod tests {
             .master_key([9u8; 32])
             .model(FixedScoreModel::new(ReputationScore::MIN))
             .policy(LinearPolicy::policy1())
-            .replay_capacity(1)
+            .config(FrameworkConfig {
+                replay_capacity: 1,
+                ..Default::default()
+            })
             .build()
             .unwrap();
         for last in [1u8, 2] {
@@ -1166,7 +1152,10 @@ mod tests {
             .master_key([9u8; 32])
             .model(FixedScoreModel::new(ReputationScore::new(3.0).unwrap()))
             .policy(LinearPolicy::policy1())
-            .bypass_threshold(2.0)
+            .config(FrameworkConfig {
+                bypass_threshold: Some(2.0),
+                ..Default::default()
+            })
             .behavior_sink(Arc::clone(&sink) as Arc<dyn BehaviorSink>)
             .build()
             .unwrap();
@@ -1233,7 +1222,11 @@ mod tests {
                 .master_key([9u8; 32])
                 .model(FixedScoreModel::new(ReputationScore::new(3.0).unwrap()))
                 .policy(LinearPolicy::policy2())
-                .max_batch(4) // chunking exercised: 10 requests → 3 passes
+                // Chunking exercised: 10 requests → 3 passes.
+                .config(FrameworkConfig {
+                    max_batch: 4,
+                    ..Default::default()
+                })
                 .manual_clock(77_000);
             (builder.build().unwrap(), clock)
         };
@@ -1291,7 +1284,10 @@ mod tests {
             .master_key([9u8; 32])
             .model(LaneModel)
             .policy(LinearPolicy::policy1())
-            .bypass_threshold(2.0)
+            .config(FrameworkConfig {
+                bypass_threshold: Some(2.0),
+                ..Default::default()
+            })
             .build()
             .unwrap();
         let low = FeatureVector::zeros().with(0, 1.0); // bypassed
@@ -1451,8 +1447,11 @@ mod tests {
                 .master_key([9u8; 32])
                 .model(FixedScoreModel::new(ReputationScore::new(score).unwrap()))
                 .policy(LinearPolicy::policy1())
-                .route_memory_hard_above(6.0)
-                .memory_hard_arena_mib(1)
+                .config(FrameworkConfig {
+                    memory_hard_above: Some(6.0),
+                    memory_hard_arena_mib: Some(1),
+                    ..Default::default()
+                })
                 .build()
                 .unwrap()
         };
@@ -1493,8 +1492,11 @@ mod tests {
             .master_key([9u8; 32])
             .model(LaneModel)
             .policy(LinearPolicy::policy1())
-            .route_memory_hard_above(6.0)
-            .memory_hard_arena_mib(1)
+            .config(FrameworkConfig {
+                memory_hard_above: Some(6.0),
+                memory_hard_arena_mib: Some(1),
+                ..Default::default()
+            })
             .build()
             .unwrap();
         let benign = FeatureVector::zeros().with(0, 2.0);

@@ -20,6 +20,11 @@
 //! tunable* (policies are swappable at runtime and may read live server
 //! conditions).
 //!
+//! Every knob that is plain data (TTL, capacities, bypass, sharding,
+//! batching, lanes, routing, tracing, policy spec) is a field of
+//! [`FrameworkConfig`], handed over with [`FrameworkBuilder::config`];
+//! [`FrameworkBuilder::build`] validates it before constructing anything.
+//!
 //! # Example
 //!
 //! ```
@@ -91,14 +96,12 @@ pub(crate) mod sync {
 }
 
 pub use audit::{AuditEvent, AuditKind, AuditLog};
-pub use config::{FrameworkConfig, OnlineSettings};
+pub use config::{FrameworkConfig, OnlineSettings, DEFAULT_MAX_BATCH};
 pub use controller::{LoadController, LoadSignal};
 pub use cost::{CostLedger, LowestCost};
 pub use export::{snapshot_json, snapshot_prometheus};
 pub use features::{FeatureSource, StaticFeatureSource, SyntheticFeatureSource};
-pub use framework::{
-    AdmissionDecision, BuildError, Framework, FrameworkBuilder, IssuedChallenge, DEFAULT_MAX_BATCH,
-};
+pub use framework::{AdmissionDecision, BuildError, Framework, FrameworkBuilder, IssuedChallenge};
 pub use metrics::{FrameworkMetrics, MetricsSnapshot, StageTiming};
 pub use pipeline::{AdmissionStage, RequestCtx, SolutionCtx};
 pub use sharded::{Sharded, ShardedMap};

@@ -828,7 +828,10 @@ mod tests {
             .master_key([9u8; 32])
             .model(LaneModel)
             .policy(LinearPolicy::policy1())
-            .bypass_threshold(2.0)
+            .config(crate::FrameworkConfig {
+                bypass_threshold: Some(2.0),
+                ..Default::default()
+            })
             .build()
             .unwrap();
         let low = FeatureVector::zeros().with(0, 1.0); // bypassed

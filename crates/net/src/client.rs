@@ -360,7 +360,7 @@ impl PowClient {
 mod tests {
     use super::*;
     use crate::server::{PowServer, ServerConfig};
-    use aipow_core::{FrameworkBuilder, StaticFeatureSource};
+    use aipow_core::{FrameworkBuilder, FrameworkConfig, StaticFeatureSource};
     use aipow_policy::LinearPolicy;
     use aipow_reputation::model::FixedScoreModel;
     use aipow_reputation::{FeatureVector, ReputationScore};
@@ -368,13 +368,14 @@ mod tests {
     use std::sync::Arc;
 
     fn spawn_server(score: f64, bypass: Option<f64>) -> (PowServer, Arc<aipow_core::Framework>) {
-        let mut builder = FrameworkBuilder::new()
+        let builder = FrameworkBuilder::new()
             .master_key([4u8; 32])
             .model(FixedScoreModel::new(ReputationScore::new(score).unwrap()))
-            .policy(LinearPolicy::policy1());
-        if let Some(t) = bypass {
-            builder = builder.bypass_threshold(t);
-        }
+            .policy(LinearPolicy::policy1())
+            .config(FrameworkConfig {
+                bypass_threshold: bypass,
+                ..Default::default()
+            });
         let framework = Arc::new(builder.build().unwrap());
         let features = Arc::new(StaticFeatureSource::new(FeatureVector::zeros()));
         let mut resources = HashMap::new();
@@ -559,8 +560,11 @@ mod tests {
                 .master_key([4u8; 32])
                 .model(FixedScoreModel::new(ReputationScore::new(9.0).unwrap()))
                 .policy(LinearPolicy::policy1())
-                .route_memory_hard_above(5.0)
-                .memory_hard_arena_mib(1)
+                .config(FrameworkConfig {
+                    memory_hard_above: Some(5.0),
+                    memory_hard_arena_mib: Some(1),
+                    ..Default::default()
+                })
                 .build()
                 .unwrap(),
         );

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The connection layer's own tuning knobs. The frames drained per
-/// dispatch ([`max_batch`](aipow_core::FrameworkBuilder::max_batch)) and
-/// the verifier's [`lanes`](aipow_core::FrameworkBuilder::lanes) belong
+/// dispatch ([`max_batch`](aipow_core::FrameworkConfig::max_batch)) and
+/// the verifier's [`lanes`](aipow_core::FrameworkConfig::lanes) belong
 /// to the framework and are fixed when it is built.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -284,7 +284,7 @@ impl Drop for PowServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aipow_core::{FrameworkBuilder, StaticFeatureSource};
+    use aipow_core::{FrameworkBuilder, FrameworkConfig, StaticFeatureSource};
     use aipow_policy::LinearPolicy;
     use aipow_reputation::model::FixedScoreModel;
     use aipow_reputation::{FeatureVector, ReputationScore};
@@ -538,7 +538,13 @@ mod tests {
     #[test]
     fn pipelined_frames_are_batched_and_replied_in_order() {
         use std::io::Write;
-        let framework = test_builder(0.0).max_batch(8).build().unwrap();
+        let framework = test_builder(0.0)
+            .config(FrameworkConfig {
+                max_batch: 8,
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
         let server = start_on(Arc::new(framework), ServerConfig::default());
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // Write a pipelined burst in one TCP segment: 3 requests, a
@@ -578,7 +584,15 @@ mod tests {
     #[test]
     fn reactor_drains_the_frameworks_max_batch() {
         use std::io::Write;
-        let framework = Arc::new(test_builder(0.0).max_batch(128).build().unwrap());
+        let framework = Arc::new(
+            test_builder(0.0)
+                .config(FrameworkConfig {
+                    max_batch: 128,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap(),
+        );
         let server = start_on(Arc::clone(&framework), ServerConfig::default());
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // One write: the burst lands in the socket buffer whole, so the

@@ -27,7 +27,9 @@
 //! shape with the paper's AI component (the `aipow observe` CLI does).
 
 use aipow_core::tap::BehaviorSink;
-use aipow_core::{Framework, FrameworkBuilder, OnlineSettings, StaticFeatureSource};
+use aipow_core::{
+    Framework, FrameworkBuilder, FrameworkConfig, OnlineSettings, StaticFeatureSource,
+};
 use aipow_online::OnlineLoop;
 use aipow_policy::LinearPolicy;
 use aipow_pow::{ManualClock, TimeSource};
@@ -150,15 +152,18 @@ struct OnlineDeployment {
 impl OnlineDeployment {
     fn new(config: &BehaviorConfig, bypass: Option<f64>) -> Self {
         let clock = ManualClock::at(0);
-        let mut builder = FrameworkBuilder::new()
+        let framework = FrameworkBuilder::new()
             .master_key([0x0Bu8; 32])
             .model(BlocklistHeuristic)
             .policy(LinearPolicy::policy2())
-            .clock(Arc::new(clock.clone()));
-        if let Some(threshold) = bypass {
-            builder = builder.bypass_threshold(threshold);
-        }
-        let framework = Arc::new(builder.build().expect("framework builds"));
+            .clock(Arc::new(clock.clone()))
+            .config(FrameworkConfig {
+                bypass_threshold: bypass,
+                ..Default::default()
+            })
+            .build()
+            .expect("scenario invariant: the bypass thresholds are scores");
+        let framework = Arc::new(framework);
         let online = OnlineLoop::attach(
             Arc::clone(&framework),
             Arc::new(StaticFeatureSource::new(residential_prior())),

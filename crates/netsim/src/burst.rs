@@ -21,7 +21,7 @@
 //! a live framework, machine-dependent by design; the decision
 //! equivalence half is exact on any machine.
 
-use aipow_core::{AdmissionDecision, Framework, FrameworkBuilder};
+use aipow_core::{AdmissionDecision, Framework, FrameworkBuilder, FrameworkConfig};
 use aipow_policy::LinearPolicy;
 use aipow_reputation::{FeatureVector, ReputationModel, ReputationScore};
 use serde::{Deserialize, Serialize};
@@ -55,7 +55,7 @@ pub struct BurstConfig {
     /// spread over the policy range so decisions are heterogeneous
     /// (some bypassed, most challenged at varying difficulties).
     pub clients: usize,
-    /// Framework batch ceiling (`FrameworkBuilder::max_batch`); bursts
+    /// Framework batch ceiling (`FrameworkConfig::max_batch`); bursts
     /// longer than this are chunked by the framework itself.
     pub max_batch: usize,
 }
@@ -108,8 +108,11 @@ fn build_framework(max_batch: usize) -> Framework {
         .master_key([0x42u8; 32])
         .model(Lane0Model)
         .policy(LinearPolicy::policy2())
-        .bypass_threshold(1.0)
-        .max_batch(max_batch)
+        .config(FrameworkConfig {
+            bypass_threshold: Some(1.0),
+            max_batch,
+            ..Default::default()
+        })
         .build()
         .expect("framework builds")
 }

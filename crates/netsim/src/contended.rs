@@ -27,7 +27,8 @@
 //! ```
 
 use aipow_core::{
-    FeatureSource, Framework, FrameworkBuilder, OnlineSettings, RateLimiter, StaticFeatureSource,
+    FeatureSource, Framework, FrameworkBuilder, FrameworkConfig, OnlineSettings, RateLimiter,
+    StaticFeatureSource,
 };
 use aipow_online::OnlineLoop;
 use aipow_policy::LinearPolicy;
@@ -132,15 +133,16 @@ impl std::fmt::Debug for AdmissionPath {
 /// served through the blending behavioral source — the full online-loop
 /// hot path.
 pub fn contended_path_with(shard_count: Option<usize>, online: bool) -> AdmissionPath {
-    let mut builder = FrameworkBuilder::new()
+    let builder = FrameworkBuilder::new()
         .master_key([0x5Au8; 32])
         .model(FixedScoreModel::new(
             ReputationScore::new(5.0).expect("score in range"),
         ))
-        .policy(LinearPolicy::policy2());
-    if let Some(shards) = shard_count {
-        builder = builder.shard_count(shards);
-    }
+        .policy(LinearPolicy::policy2())
+        .config(FrameworkConfig {
+            shard_count,
+            ..Default::default()
+        });
     let limiter = match shard_count {
         Some(shards) => RateLimiter::with_shards(1e12, 1e6, 1 << 20, shards),
         None => RateLimiter::new(1e12, 1e6, 1 << 20),

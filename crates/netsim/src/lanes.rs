@@ -21,7 +21,7 @@
 //! live frameworks and therefore machine-dependent; the equivalence
 //! half is exact on any machine.
 
-use aipow_core::{Framework, FrameworkBuilder};
+use aipow_core::{Framework, FrameworkBuilder, FrameworkConfig};
 use aipow_crypto::MAX_LANES;
 use aipow_policy::LinearPolicy;
 use aipow_pow::solver::{self, SolverOptions};
@@ -94,8 +94,11 @@ fn build_framework(lanes: usize, max_batch: usize) -> Framework {
             ReputationScore::new(5.0).expect("scenario invariant: 5.0 is a valid score"),
         ))
         .policy(LinearPolicy::policy2())
-        .max_batch(max_batch)
-        .lanes(lanes)
+        .config(FrameworkConfig {
+            max_batch,
+            lanes: Some(lanes),
+            ..Default::default()
+        })
         .build()
         .expect("scenario invariant: the fixed framework config is valid")
 }

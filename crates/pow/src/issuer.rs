@@ -103,8 +103,8 @@ impl Issuer {
     ///
     /// Panics if `backend` is not registered or rejects `param`; issuance
     /// parameters are server configuration, validated up front
-    /// (`FrameworkConfig::apply` in `aipow-core` does so with a typed
-    /// error before reaching this).
+    /// (`FrameworkConfig::validate` in `aipow-core` does so with a typed
+    /// error before the framework builder reaches this).
     pub fn with_backend_param(mut self, backend: BackendId, param: u8) -> Self {
         let registered = self
             .registry

@@ -123,6 +123,11 @@ impl ReplayGuard {
         self.shards.shard_count()
     }
 
+    /// The enforced bound: `ceil(capacity / shards) × shards` seeds.
+    pub fn capacity(&self) -> usize {
+        self.shards.fold(0, |acc, inner| acc + inner.capacity)
+    }
+
     /// Atomically checks whether `seed` is fresh at `now_ms` and, if so,
     /// records it until `expires_at_ms`. Returns `true` if the seed was
     /// fresh (caller may proceed), `false` if it is a replay.

@@ -258,6 +258,16 @@ impl Verifier {
         self.verify_lanes
     }
 
+    /// The maximum accepted challenge difficulty.
+    pub fn difficulty_cap(&self) -> Difficulty {
+        self.difficulty_cap
+    }
+
+    /// The tolerated forward clock skew in milliseconds.
+    pub fn max_skew_ms(&self) -> u64 {
+        self.max_skew_ms
+    }
+
     /// Access to the replay guard (for metrics/ablation).
     pub fn replay_guard(&self) -> &ReplayGuard {
         &self.replay

@@ -31,7 +31,8 @@
 //! use aipow::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // 1. Assemble the framework: model → policy → issuer/verifier.
+//! // 1. Assemble the framework: model → policy → issuer/verifier. Every
+//! //    other knob is a `FrameworkConfig` field, passed with `.config(..)`.
 //! let framework = FrameworkBuilder::new()
 //!     .master_key([42u8; 32])
 //!     .model(FixedScoreModel::new(ReputationScore::new(7.0)?))

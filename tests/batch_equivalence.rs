@@ -112,14 +112,15 @@ fn build_with(
         .master_key([0x11u8; 32])
         .model(FixedScoreModel::new(ReputationScore::new(0.0).unwrap()))
         .policy(LinearPolicy::policy1()) // score 0 → 1 bit
-        .ttl_ms(2_000) // short TTL so Advance can expire challenges
-        .max_batch(max_batch)
-        // Smallest arena so memory-hard schedules stay test-fast.
-        .memory_hard_arena_mib(1)
+        .config(FrameworkConfig {
+            ttl_ms: 2_000, // short TTL so Advance can expire challenges
+            max_batch,
+            lanes,
+            // Smallest arena so memory-hard schedules stay test-fast.
+            memory_hard_arena_mib: Some(1),
+            ..Default::default()
+        })
         .manual_clock(1_000_000);
-    if let Some(lanes) = lanes {
-        builder = builder.lanes(lanes);
-    }
     if let Some(backend) = backend {
         builder = builder.backend_router(Arc::new(FixedRouter(backend)));
     }

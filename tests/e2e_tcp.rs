@@ -206,7 +206,10 @@ fn bypass_threshold_admits_benign_without_work_over_tcp() {
             .master_key([0xE3; 32])
             .model(model)
             .policy(LinearPolicy::policy2())
-            .bypass_threshold(2.0)
+            .config(FrameworkConfig {
+                bypass_threshold: Some(2.0),
+                ..Default::default()
+            })
             .build()
             .unwrap(),
     );
