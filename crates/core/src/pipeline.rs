@@ -572,9 +572,11 @@ impl AdmissionStage<RequestCtx<'_>> for RequestTelemetryStage {
 /// Figure-1 step 6: the verifier checks each solution. The per-batch
 /// fixed costs (clock reading, skew window) are hoisted through
 /// [`aipow_pow::Verifier::prepare_at`]; the HMAC key schedule is hoisted
-/// all the way to verifier construction; and the hash-bound checks run
-/// through the multi-buffer SHA-256 kernel at the verifier's configured
-/// lane width ([`aipow_pow::verifier::PreparedVerify::verify_many`]).
+/// all the way to verifier construction; and for two or more
+/// submissions at a lane width of 4 or more the hash-bound checks run
+/// through the multi-buffer SHA-256 kernel
+/// ([`aipow_pow::verifier::PreparedVerify::verify_many`]). A single
+/// submission, or a width below 4, hashes on the scalar kernel.
 struct VerifyStage;
 
 impl AdmissionStage<SolutionCtx<'_>> for VerifyStage {

@@ -156,20 +156,6 @@ impl HmacKey {
         let inner_refs: Vec<&[u8]> = inner.iter().map(|d| d.as_bytes().as_slice()).collect();
         crate::sha256_wide::digest_batch_from(&self.outer_base, &inner_refs, max_lanes)
     }
-
-    /// Verifies `tags[i]` against `HMAC(key, msgs[i])` for a whole
-    /// batch, each comparison in constant time via [`crate::ct::eq`].
-    /// The MACs are computed through [`mac_batch`](HmacKey::mac_batch);
-    /// the comparisons stay per-item so one forged tag cannot shadow a
-    /// valid neighbour.
-    pub fn verify_batch(&self, msgs: &[&[u8]], tags: &[&[u8]], max_lanes: usize) -> Vec<bool> {
-        assert_eq!(msgs.len(), tags.len(), "batch-shape invariant");
-        self.mac_batch(msgs, max_lanes)
-            .iter()
-            .zip(tags)
-            .map(|(expect, tag)| crate::ct::eq(expect.as_bytes(), tag))
-            .collect()
-    }
 }
 
 impl core::fmt::Debug for HmacKey {
@@ -318,17 +304,6 @@ mod tests {
             }
         }
         assert!(key.mac_batch(&[], 8).is_empty());
-    }
-
-    #[test]
-    fn verify_batch_flags_each_tag_independently() {
-        let key = HmacKey::new(b"vb-key");
-        let msgs: [&[u8]; 3] = [b"one", b"two", b"three"];
-        let good: Vec<Digest> = msgs.iter().map(|m| key.mac(m)).collect();
-        let mut forged = *good[1].as_bytes();
-        forged[5] ^= 0x80;
-        let tags: [&[u8]; 3] = [good[0].as_bytes(), &forged, good[2].as_bytes()];
-        assert_eq!(key.verify_batch(&msgs, &tags, 8), vec![true, false, true]);
     }
 
     mod prop {

@@ -236,24 +236,14 @@ impl PuzzleBackend for MemoryHardBackend {
         // verifier-side edge a per-nonce solver (whose every load waits
         // on its own previous digest) does not get. Batches share one
         // arena size in practice; a mixed batch walks per-param groups.
-        let mut out: Vec<Option<Digest>> = vec![None; preimages.len()];
-        let mut groups: Vec<(u8, Vec<usize>)> = Vec::new();
-        for (i, &param) in params.iter().enumerate() {
-            match groups.iter_mut().find(|(p, _)| *p == param) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((param, vec![i])),
-            }
-        }
-        for (param, idxs) in &groups {
-            let msgs: Vec<&[u8]> = idxs.iter().map(|&i| preimages[i]).collect();
-            let digests = memmix::shared_arena(*param).walk_batch(&msgs, max_lanes);
-            for (digest, &i) in digests.into_iter().zip(idxs) {
-                out[i] = Some(digest);
-            }
-        }
-        out.into_iter()
-            .map(|d| d.expect("grouping invariant: every index lands in exactly one group"))
-            .collect()
+        batch_by_key(
+            preimages.len(),
+            |i| params[i],
+            |param, idxs| {
+                let msgs: Vec<&[u8]> = idxs.iter().map(|&i| preimages[i]).collect();
+                memmix::shared_arena(param).walk_batch(&msgs, max_lanes)
+            },
+        )
     }
 
     fn solve_cursor(&self, param: u8, prefix: &[u8]) -> Box<dyn SolveCursor + '_> {
@@ -265,6 +255,42 @@ impl PuzzleBackend for MemoryHardBackend {
             buf,
         })
     }
+}
+
+/// Splits the indices `0..len` into groups of equal `key`, calls `run`
+/// once per group (in order of each key's first index) with the group's
+/// ascending indices, and scatters the results — one per index, in the
+/// order given — back into index order.
+pub(crate) fn batch_by_key<K: Copy + PartialEq, T>(
+    len: usize,
+    key: impl Fn(usize) -> K,
+    mut run: impl FnMut(K, &[usize]) -> Vec<T>,
+) -> Vec<T> {
+    let mut groups: Vec<(K, Vec<usize>)> = Vec::new();
+    for i in 0..len {
+        let k = key(i);
+        match groups.iter_mut().find(|(group, _)| *group == k) {
+            Some((_, idxs)) => idxs.push(i),
+            None => groups.push((k, {
+                let mut idxs = Vec::with_capacity(len - i);
+                idxs.push(i);
+                idxs
+            })),
+        }
+    }
+    if let [(k, idxs)] = groups.as_slice() {
+        // One group holds every index in order: nothing to scatter.
+        return run(*k, idxs);
+    }
+    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    for (k, idxs) in &groups {
+        for (result, &i) in run(*k, idxs).into_iter().zip(idxs) {
+            out[i] = Some(result);
+        }
+    }
+    out.into_iter()
+        .map(|result| result.expect("grouping invariant: every index lands in exactly one group"))
+        .collect()
 }
 
 /// The set of backends a component dispatches through, keyed by

@@ -294,9 +294,16 @@ impl Solution {
     /// challenge's backend id is not registered.
     pub fn digest_with(&self, client_ip: IpAddr, registry: &BackendRegistry) -> Option<Digest> {
         let backend = registry.get(self.challenge.backend())?;
+        Some(backend.work_digest(self.challenge.backend_param(), &self.preimage(client_ip)))
+    }
+
+    /// The full work-function input for a claimed client IP: the
+    /// challenge's [`preimage_prefix`](Challenge::preimage_prefix)
+    /// followed by the nonce encoded at its width.
+    pub fn preimage(&self, client_ip: IpAddr) -> Vec<u8> {
         let mut preimage = self.challenge.preimage_prefix(client_ip);
         preimage.extend_from_slice(&self.width.encode(self.nonce));
-        Some(backend.work_digest(self.challenge.backend_param(), &preimage))
+        preimage
     }
 
     /// Computes the solution digest for a claimed client IP via the

@@ -8,12 +8,12 @@
 //! check, MAC authentication (constant-time), client binding, freshness
 //! window, replay check, and finally the single work-function evaluation
 //! that checks the work itself — dispatched through the challenge's
-//! [`PuzzleBackend`](crate::backend::PuzzleBackend). For the default
+//! [`PuzzleBackend`]. For the default
 //! SHA-256 backend total cost is two hash-block pipelines regardless of
 //! the puzzle difficulty — measured in bench `verify_cost` (claim C6).
 
-use crate::backend::{BackendId, BackendRegistry};
-use crate::challenge::{Solution, CHALLENGE_VERSION};
+use crate::backend::{batch_by_key, BackendId, BackendRegistry, PuzzleBackend};
+use crate::challenge::{Challenge, Solution, CHALLENGE_VERSION};
 use crate::difficulty::Difficulty;
 use crate::replay::ReplayGuard;
 use crate::time::{SystemClock, TimeSource};
@@ -192,8 +192,9 @@ pub struct Verifier {
     /// id are rejected with [`VerifyError::UnknownBackend`].
     registry: Arc<BackendRegistry>,
     /// Lane width for batched hash work (MACs and work digests) in
-    /// [`PreparedVerify::verify_many`]: 1 forces the scalar path, 4/8
-    /// select the multi-buffer kernel width. Set once at construction
+    /// [`PreparedVerify::verify_many`]: 1 forces the scalar path, 2–3
+    /// stage the checks but hash on the scalar kernel, 4–8 select the
+    /// multi-buffer kernel width. Set once at construction
     /// ([`with_verify_lanes`](Self::with_verify_lanes)); a performance
     /// knob only — every width computes identical results.
     verify_lanes: usize,
@@ -345,7 +346,7 @@ pub struct PreparedVerify<'a> {
     not_before_horizon: u64,
 }
 
-impl PreparedVerify<'_> {
+impl<'a> PreparedVerify<'a> {
     /// The instant this context verifies at.
     pub fn now_ms(&self) -> u64 {
         self.now_ms
@@ -362,8 +363,120 @@ impl PreparedVerify<'_> {
         claimed_ip: IpAddr,
     ) -> Result<VerifiedToken, VerifyError> {
         let challenge = &solution.challenge;
-        let now_ms = self.now_ms;
+        let backend = self.admit(solution)?;
+        let expected_tag = self.verifier.mac_key.mac(&challenge.authenticated_bytes());
+        self.bind(&expected_tag, challenge, claimed_ip)?;
+        let digest = backend.work_digest(challenge.backend_param(), &solution.preimage(claimed_ip));
+        self.settle(solution, claimed_ip, &digest)
+    }
 
+    /// Verifies a batch of submissions under the prepared context,
+    /// routing the two hash-bound checks — challenge MACs and work
+    /// digests — through the multi-buffer SHA-256 kernel at the
+    /// verifier's configured lane width.
+    ///
+    /// Observably identical to calling [`verify_one`](Self::verify_one)
+    /// on each submission in order, by construction: both run the same
+    /// three checks (`admit`, then `bind` on the challenge MAC, then
+    /// `settle` on the work digest) and differ only in hashing every
+    /// survivor's MAC, then every survivor's work digest, in one pass
+    /// each. The staging is sound because the MAC and work checks read
+    /// no mutable verifier state; `settle` — the only check that marks
+    /// replays — runs last and in submission order, so duplicate seeds
+    /// within one batch behave exactly as sequential submissions.
+    ///
+    /// Same-length preimages are grouped into full 8- or 4-wide lanes by
+    /// the kernel; ragged tails, odd shapes and lane widths 2–3 fall
+    /// back to scalar hashing per message. A lane width of 1 (or a batch
+    /// of fewer than two submissions) takes the scalar path outright.
+    pub fn verify_many(
+        &self,
+        submissions: &[(&Solution, IpAddr)],
+    ) -> Vec<Result<VerifiedToken, VerifyError>> {
+        let lanes = self.verifier.verify_lanes();
+        if lanes <= 1 || submissions.len() < 2 {
+            return submissions
+                .iter()
+                .map(|(solution, ip)| self.verify_one(solution, *ip))
+                .collect();
+        }
+
+        // Each verdict holds its first rejection, or the backend that
+        // will judge its work while it survives.
+        let mut verdicts: Vec<Result<&dyn PuzzleBackend, VerifyError>> = submissions
+            .iter()
+            .map(|(solution, _)| self.admit(solution))
+            .collect();
+
+        let admitted = verdicts.iter().filter(|verdict| verdict.is_ok()).count();
+        let mut auth: Vec<Vec<u8>> = Vec::with_capacity(admitted);
+        auth.extend(
+            submissions
+                .iter()
+                .zip(&verdicts)
+                .filter(|(_, verdict)| verdict.is_ok())
+                .map(|((solution, _), _)| solution.challenge.authenticated_bytes()),
+        );
+        let msgs: Vec<&[u8]> = auth.iter().map(Vec::as_slice).collect();
+        let tags = self.verifier.mac_key.mac_batch(&msgs, lanes);
+        let survivors = verdicts
+            .iter_mut()
+            .zip(submissions)
+            .filter(|(verdict, _)| verdict.is_ok());
+        for ((verdict, (solution, claimed_ip)), tag) in survivors.zip(&tags) {
+            if let Err(err) = self.bind(tag, &solution.challenge, *claimed_ip) {
+                *verdict = Err(err);
+            }
+        }
+
+        // Work digests, one batched hook call per backend, in survivor
+        // order.
+        let bound = verdicts.iter().filter(|verdict| verdict.is_ok()).count();
+        let mut work: Vec<(&Solution, &dyn PuzzleBackend, Vec<u8>)> = Vec::with_capacity(bound);
+        work.extend(submissions.iter().zip(&verdicts).filter_map(
+            |((solution, claimed_ip), verdict)| {
+                let backend = *verdict.as_ref().ok()?;
+                Some((*solution, backend, solution.preimage(*claimed_ip)))
+            },
+        ));
+        let digests = batch_by_key(
+            work.len(),
+            |pos| work[pos].0.challenge.backend(),
+            |_, positions| {
+                let params: Vec<u8> = positions
+                    .iter()
+                    .map(|&pos| work[pos].0.challenge.backend_param())
+                    .collect();
+                let msgs: Vec<&[u8]> = positions
+                    .iter()
+                    .map(|&pos| work[pos].2.as_slice())
+                    .collect();
+                work[positions[0]]
+                    .1
+                    .work_digest_batch(&params, &msgs, lanes)
+            },
+        );
+
+        let mut digests = digests.iter();
+        submissions
+            .iter()
+            .zip(verdicts)
+            .map(|((solution, claimed_ip), verdict)| {
+                verdict.and_then(|_| {
+                    let digest = digests
+                        .next()
+                        .expect("staging invariant: every surviving submission is hashed");
+                    self.settle(solution, *claimed_ip, digest)
+                })
+            })
+            .collect()
+    }
+
+    /// The checks that need no hashing: version, known backend, backend
+    /// agreement, backend parameter, difficulty cap and nonce width.
+    /// Returns the backend that judges the work.
+    fn admit(&self, solution: &Solution) -> Result<&'a dyn PuzzleBackend, VerifyError> {
+        let challenge = &solution.challenge;
         if challenge.version() != CHALLENGE_VERSION {
             return Err(VerifyError::UnsupportedVersion {
                 got: challenge.version(),
@@ -396,11 +509,19 @@ impl PreparedVerify<'_> {
         if !solution.width.fits(solution.nonce) {
             return Err(VerifyError::MalformedNonce);
         }
-        if !self
-            .verifier
-            .mac_key
-            .verify(&challenge.authenticated_bytes(), challenge.tag())
-        {
+        Ok(backend)
+    }
+
+    /// Authentication and binding: the constant-time compare of the tag
+    /// against `expected_tag` (the MAC of the challenge's authenticated
+    /// bytes), then client binding, then the freshness window.
+    fn bind(
+        &self,
+        expected_tag: &Digest,
+        challenge: &Challenge,
+        claimed_ip: IpAddr,
+    ) -> Result<(), VerifyError> {
+        if !ct::eq(expected_tag.as_bytes(), challenge.tag()) {
             return Err(VerifyError::BadMac);
         }
         if challenge.client_ip() != claimed_ip {
@@ -409,20 +530,26 @@ impl PreparedVerify<'_> {
         if challenge.issued_at_ms() > self.not_before_horizon {
             return Err(VerifyError::NotYetValid);
         }
-        if challenge.is_expired(now_ms) {
+        if challenge.is_expired(self.now_ms) {
             return Err(VerifyError::Expired {
                 expired_at_ms: challenge.expires_at_ms(),
-                now_ms,
+                now_ms: self.now_ms,
             });
         }
+        Ok(())
+    }
 
-        // The work check precedes replay marking so that invalid work does
-        // not consume the seed.
-        let mut preimage = challenge.preimage_prefix(claimed_ip);
-        preimage.extend_from_slice(&solution.width.encode(solution.nonce));
-        let got_bits = backend
-            .work_digest(challenge.backend_param(), &preimage)
-            .leading_zero_bits();
+    /// Judges the work `digest`, then redeems the seed. The work check
+    /// precedes replay marking so that invalid work does not consume the
+    /// seed.
+    fn settle(
+        &self,
+        solution: &Solution,
+        claimed_ip: IpAddr,
+        digest: &Digest,
+    ) -> Result<VerifiedToken, VerifyError> {
+        let challenge = &solution.challenge;
+        let got_bits = digest.leading_zero_bits();
         let need_bits = challenge.difficulty().bits() as u32;
         if got_bits < need_bits {
             return Err(VerifyError::InsufficientWork {
@@ -430,214 +557,19 @@ impl PreparedVerify<'_> {
                 need_bits,
             });
         }
-
         if !self.verifier.replay.check_and_insert(
             challenge.seed(),
             challenge.expires_at_ms(),
-            now_ms,
+            self.now_ms,
         ) {
             return Err(VerifyError::Replayed);
         }
-
         Ok(VerifiedToken {
             client_ip: claimed_ip,
             difficulty: challenge.difficulty(),
             seed: *challenge.seed(),
-            verified_at_ms: now_ms,
+            verified_at_ms: self.now_ms,
         })
-    }
-
-    /// Verifies a batch of submissions under the prepared context,
-    /// routing the two hash-bound checks — challenge MACs and work
-    /// digests — through the multi-buffer SHA-256 kernel at the
-    /// verifier's configured lane width.
-    ///
-    /// Observably identical to calling [`verify_one`](Self::verify_one)
-    /// on each submission in order: checks are staged (cheap shape
-    /// checks, then batched MACs, then binding/freshness, then batched
-    /// work digests, then replay marking) but each submission still
-    /// fails with the error its *first* failing check would report, and
-    /// replay marking happens in submission order as the final step, so
-    /// duplicate seeds within one batch behave exactly as sequential
-    /// submissions. The staging is sound because the MAC and work checks
-    /// read no mutable verifier state.
-    ///
-    /// Same-length preimages are grouped into full 8- or 4-wide lanes by
-    /// the kernel; ragged tails and odd shapes fall back to scalar
-    /// hashing per message. A lane width of 1 (or a batch of fewer than
-    /// two live submissions) takes the scalar path outright.
-    pub fn verify_many(
-        &self,
-        submissions: &[(&Solution, IpAddr)],
-    ) -> Vec<Result<VerifiedToken, VerifyError>> {
-        let lanes = self.verifier.verify_lanes();
-        if lanes <= 1 || submissions.len() < 2 {
-            return submissions
-                .iter()
-                .map(|(solution, ip)| self.verify_one(solution, *ip))
-                .collect();
-        }
-
-        let cap = self.verifier.difficulty_cap;
-        let mut out: Vec<Option<Result<VerifiedToken, VerifyError>>> =
-            vec![None; submissions.len()];
-
-        // Stage 1: cheap per-item shape checks.
-        let mut live: Vec<usize> = Vec::with_capacity(submissions.len());
-        for (i, (solution, _)) in submissions.iter().enumerate() {
-            let challenge = &solution.challenge;
-            if challenge.version() != CHALLENGE_VERSION {
-                out[i] = Some(Err(VerifyError::UnsupportedVersion {
-                    got: challenge.version(),
-                }));
-            } else if let Some(err) = {
-                match self.verifier.registry.get(challenge.backend()) {
-                    None => Some(VerifyError::UnknownBackend {
-                        got: challenge.backend(),
-                    }),
-                    Some(_) if solution.backend != challenge.backend() => {
-                        Some(VerifyError::BackendMismatch {
-                            challenge: challenge.backend(),
-                            solution: solution.backend,
-                        })
-                    }
-                    Some(backend) if !backend.validate_param(challenge.backend_param()) => {
-                        Some(VerifyError::InvalidBackendParam {
-                            got: challenge.backend_param(),
-                        })
-                    }
-                    Some(_) => None,
-                }
-            } {
-                out[i] = Some(Err(err));
-            } else if challenge.difficulty() > cap {
-                out[i] = Some(Err(VerifyError::DifficultyTooHigh {
-                    got: challenge.difficulty(),
-                    cap,
-                }));
-            } else if !solution.width.fits(solution.nonce) {
-                out[i] = Some(Err(VerifyError::MalformedNonce));
-            } else {
-                live.push(i);
-            }
-        }
-
-        // Stage 2: challenge MACs for all survivors, hashed wide.
-        let auth: Vec<Vec<u8>> = live
-            .iter()
-            .map(|&i| submissions[i].0.challenge.authenticated_bytes())
-            .collect();
-        let msgs: Vec<&[u8]> = auth.iter().map(Vec::as_slice).collect();
-        let macs = self.verifier.mac_key.mac_batch(&msgs, lanes);
-        let mut bound: Vec<usize> = Vec::with_capacity(live.len());
-        for (expect, &i) in macs.iter().zip(&live) {
-            let challenge = &submissions[i].0.challenge;
-            if !ct::eq(expect.as_bytes(), challenge.tag()) {
-                out[i] = Some(Err(VerifyError::BadMac));
-            } else {
-                bound.push(i);
-            }
-        }
-
-        // Stage 3: client binding and freshness.
-        let mut workable: Vec<usize> = Vec::with_capacity(bound.len());
-        for &i in &bound {
-            let (solution, claimed_ip) = &submissions[i];
-            let challenge = &solution.challenge;
-            if challenge.client_ip() != *claimed_ip {
-                out[i] = Some(Err(VerifyError::ClientMismatch));
-            } else if challenge.issued_at_ms() > self.not_before_horizon {
-                out[i] = Some(Err(VerifyError::NotYetValid));
-            } else if challenge.is_expired(self.now_ms) {
-                out[i] = Some(Err(VerifyError::Expired {
-                    expired_at_ms: challenge.expires_at_ms(),
-                    now_ms: self.now_ms,
-                }));
-            } else {
-                workable.push(i);
-            }
-        }
-
-        // Stage 4: work digests, dispatched per backend. Each backend
-        // hashes its own group through its batched hook — the SHA-256
-        // backend routes to the wide kernel, others take their scalar
-        // path — and results scatter back into `workable` order.
-        let preimages: Vec<Vec<u8>> = workable
-            .iter()
-            .map(|&i| {
-                let (solution, claimed_ip) = &submissions[i];
-                let mut preimage = solution.challenge.preimage_prefix(*claimed_ip);
-                preimage.extend_from_slice(&solution.width.encode(solution.nonce));
-                preimage
-            })
-            .collect();
-        let mut groups: Vec<(BackendId, Vec<usize>)> = Vec::new();
-        for (pos, &i) in workable.iter().enumerate() {
-            let id = submissions[i].0.challenge.backend();
-            match groups.iter_mut().find(|(group_id, _)| *group_id == id) {
-                Some((_, positions)) => positions.push(pos),
-                None => groups.push((id, vec![pos])),
-            }
-        }
-        let mut digests: Vec<Option<Digest>> = vec![None; workable.len()];
-        for (id, positions) in &groups {
-            let backend = self
-                .verifier
-                .registry
-                .get(*id)
-                .expect("staging invariant: unknown backends were rejected in stage 1");
-            let params: Vec<u8> = positions
-                .iter()
-                .map(|&pos| submissions[workable[pos]].0.challenge.backend_param())
-                .collect();
-            let msgs: Vec<&[u8]> = positions
-                .iter()
-                .map(|&pos| preimages[pos].as_slice())
-                .collect();
-            let group_digests = backend.work_digest_batch(&params, &msgs, lanes);
-            for (digest, &pos) in group_digests.into_iter().zip(positions) {
-                digests[pos] = Some(digest);
-            }
-        }
-        let digests: Vec<Digest> = digests
-            .into_iter()
-            .map(|d| d.expect("staging invariant: every workable submission is hashed"))
-            .collect();
-
-        // Stage 5: judge work, then mark replays in submission order.
-        // `workable` is ascending, so this preserves first-wins semantics
-        // for duplicate seeds within the batch.
-        for (digest, &i) in digests.iter().zip(&workable) {
-            let (solution, claimed_ip) = &submissions[i];
-            let challenge = &solution.challenge;
-            let got_bits = digest.leading_zero_bits();
-            let need_bits = challenge.difficulty().bits() as u32;
-            out[i] = Some(if got_bits < need_bits {
-                Err(VerifyError::InsufficientWork {
-                    got_bits,
-                    need_bits,
-                })
-            } else if !self.verifier.replay.check_and_insert(
-                challenge.seed(),
-                challenge.expires_at_ms(),
-                self.now_ms,
-            ) {
-                Err(VerifyError::Replayed)
-            } else {
-                Ok(VerifiedToken {
-                    client_ip: *claimed_ip,
-                    difficulty: challenge.difficulty(),
-                    seed: *challenge.seed(),
-                    verified_at_ms: self.now_ms,
-                })
-            });
-        }
-
-        out.into_iter()
-            .map(|o| {
-                o.expect("staging invariant: every submission is resolved by exactly one stage")
-            })
-            .collect()
     }
 }
 
@@ -654,7 +586,7 @@ impl core::fmt::Debug for Verifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::challenge::{Challenge, NonceWidth};
+    use crate::challenge::NonceWidth;
     use crate::issuer::Issuer;
     use crate::solver::{self, SolverOptions};
     use crate::time::ManualClock;
@@ -705,8 +637,8 @@ mod tests {
 
         let prepared = verifier.prepare_at(1_000_000);
         assert!(prepared.verify_one(&sol, ip()).is_ok());
-        // A second solved challenge fills out a real wide batch; a fresh
-        // verifier has not seen the first seed.
+        // A second solved challenge makes a staged batch (batched MAC
+        // and digest calls); a fresh verifier has not seen the first seed.
         let c2 = issuer.issue(ip(), Difficulty::new(6).unwrap());
         let sol2 = solver::solve(&c2, ip(), &SolverOptions::default())
             .unwrap()
@@ -853,6 +785,21 @@ mod tests {
                 .unwrap()
                 .solution
         };
+        let good_mh2 = {
+            let c = issuer.issue_backend(ip(), Difficulty::new(2).unwrap(), BackendId::MEMORY_HARD);
+            solver::solve(&c, ip(), &SolverOptions::default())
+                .unwrap()
+                .solution
+        };
+        // Valid at difficulty 0 with a digest of no leading zero bits, so
+        // any memory-hard item handed this digest fails its work check.
+        let good_late = {
+            let c = issuer.issue(ip(), Difficulty::ZERO);
+            (0u64..)
+                .map(|nonce| Solution::new(c.clone(), nonce, NonceWidth::U64))
+                .find(|cand| cand.digest(ip()).leading_zero_bits() == 0)
+                .unwrap()
+        };
         let unknown_backend = Solution {
             challenge: Challenge::from_parts_backend(
                 c.version(),
@@ -903,6 +850,11 @@ mod tests {
             (unknown_backend, ip()),
             (mismatch, ip()),
             (bad_param, ip()),
+            // The backend groups interleave: a scatter that concatenated
+            // the per-backend results would hand `good_late`'s digest to
+            // `good_mh`.
+            (good_mh2, ip()),
+            (good_late, ip()),
         ];
 
         let (_, scalar) = build(1);
@@ -933,6 +885,11 @@ mod tests {
             })
         );
         assert_eq!(want[13], Err(VerifyError::InvalidBackendParam { got: 200 }));
+        assert!(want[14].is_ok(), "second memory-hard solution");
+        assert!(
+            want[15].is_ok(),
+            "SHA-256 solution after the memory-hard ones"
+        );
 
         for lanes in 2..=sha256_wide::MAX_LANES {
             let (_, wide) = build(lanes);
@@ -1363,6 +1320,47 @@ mod tests {
                     backend: sol.backend,
                 };
                 prop_assert_eq!(verifier.verify(&forged, client), Err(VerifyError::BadMac));
+            }
+
+            /// A forged tag in a wide batch fails alone: its MAC is
+            /// compared per item, so it neither passes with nor shadows
+            /// its valid neighbours.
+            #[test]
+            fn batched_tag_corruption_fails_alone(
+                d in 0u8..=6,
+                idx in 0usize..32,
+                flip in 1u8..=255,
+            ) {
+                let clock = ManualClock::at(42);
+                let issuer = Issuer::with_clock(&KEY, Arc::new(clock.clone()));
+                let verifier = Verifier::with_clock(&KEY, Arc::new(clock)).with_verify_lanes(8);
+                let client = ip();
+                let solve = || {
+                    let c = issuer.issue(client, Difficulty::new(d).unwrap());
+                    solver::solve(&c, client, &SolverOptions::default()).unwrap().solution
+                };
+                let (first, middle, last) = (solve(), solve(), solve());
+                let c = &middle.challenge;
+                let mut tag = *c.tag();
+                tag[idx] ^= flip;
+                let forged = Solution {
+                    challenge: Challenge::from_parts(
+                        c.version(),
+                        *c.seed(),
+                        c.issued_at_ms(),
+                        c.ttl_ms(),
+                        c.difficulty(),
+                        c.client_ip(),
+                        tag,
+                    ),
+                    ..middle.clone()
+                };
+                let outcomes = verifier
+                    .prepare_at(42)
+                    .verify_many(&[(&first, client), (&forged, client), (&last, client)]);
+                prop_assert!(outcomes[0].is_ok(), "{:?}", outcomes);
+                prop_assert_eq!(outcomes[1].clone(), Err(VerifyError::BadMac));
+                prop_assert!(outcomes[2].is_ok(), "{:?}", outcomes);
             }
         }
     }
