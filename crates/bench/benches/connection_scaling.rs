@@ -13,8 +13,8 @@
 //!   the table fills.
 //! - `connection_scaling_request` — request/reply exchange throughput
 //!   (wire decode through the frame assembler, batch dispatch through
-//!   the real admission pipeline, reply queued on the bounded outbound
-//!   queue) on active connections while 1k/10k/50k total connections are
+//!   the real admission pipeline, reply encoded in place onto the bounded
+//!   outbound queue) on active connections while 1k/10k/50k total connections are
 //!   resident. Idle connections must be free: a table slot, not a tax on
 //!   every exchange.
 //!
@@ -171,9 +171,8 @@ fn connection_scaling(c: &mut Criterion) {
                         &None,
                     );
                     for reply in &replies {
-                        let encoded = aipow_wire::encode(reply);
                         assert!(matches!(
-                            core.outbound.push(&encoded),
+                            core.outbound.push_message(reply),
                             aipow_net::reactor::QueuePush::Queued
                         ));
                     }

@@ -124,8 +124,9 @@ pub enum QueuePush {
 
 /// Bytes awaiting a writable socket, bounded.
 ///
-/// Replies are appended encoded; the event loop drains from the front on
-/// writable readiness. The bound is bytes (not frames) because the
+/// Replies are encoded in place onto the tail
+/// ([`push_message`](Self::push_message)); the event loop drains from the
+/// front on writable readiness. The bound is bytes (not frames) because the
 /// resource bodies dominate and that is what memory pressure is made of.
 #[derive(Debug)]
 pub struct WriteQueue {
@@ -150,12 +151,33 @@ impl WriteQueue {
         if self.pending_len() + frame.len() > self.limit {
             return QueuePush::Overflow;
         }
+        self.reset_if_drained();
+        self.buf.extend_from_slice(frame);
+        QueuePush::Queued
+    }
+
+    /// Encodes `msg` straight onto the queue's tail — no intermediate
+    /// frame buffer. A frame that would take the pending bytes past the
+    /// limit is cut back off, so an `Overflow` leaves the queue exactly
+    /// as it was: nothing partial is ever queued.
+    #[must_use = "an Overflow must close the connection"]
+    pub fn push_message(&mut self, msg: &Message) -> QueuePush {
+        self.reset_if_drained();
+        let before = self.buf.len();
+        codec::encode_into(msg, &mut self.buf);
+        if self.pending_len() > self.limit {
+            self.buf.truncate(before);
+            return QueuePush::Overflow;
+        }
+        QueuePush::Queued
+    }
+
+    /// Rewinds a fully written buffer so appends reuse its front.
+    fn reset_if_drained(&mut self) {
         if self.start > 0 && self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
         }
-        self.buf.extend_from_slice(frame);
-        QueuePush::Queued
     }
 
     /// The unwritten bytes, front first.
@@ -343,6 +365,56 @@ mod tests {
         assert_eq!(q.push(b"abc"), QueuePush::Queued);
         q.consume(q.pending_len());
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn push_message_queues_the_encoded_frames_in_order() {
+        let msgs = [
+            Message::Ping { token: 1 },
+            Message::Rejected {
+                code: aipow_wire::RejectCode::NotFound,
+                detail: "no such resource".into(),
+            },
+            Message::ResourceGranted {
+                path: "/r".into(),
+                body: vec![9; 300],
+            },
+        ];
+        let mut q = WriteQueue::new(1 << 20);
+        let mut want = Vec::new();
+        for msg in &msgs {
+            assert_eq!(q.push_message(msg), QueuePush::Queued);
+            want.extend(encode(msg));
+        }
+        assert_eq!(q.pending(), want.as_slice());
+        // A drained queue reuses its front for the next frame.
+        q.consume(q.pending_len());
+        assert_eq!(q.push_message(&msgs[0]), QueuePush::Queued);
+        assert_eq!(q.pending(), encode(&msgs[0]).as_slice());
+    }
+
+    #[test]
+    fn push_message_admits_a_frame_that_lands_exactly_on_the_limit() {
+        let first = encode(&Message::Ping { token: 1 });
+        let second = Message::Pong { token: 2 };
+        let mut q = WriteQueue::new(first.len() + encode(&second).len());
+        assert_eq!(q.push(&first), QueuePush::Queued);
+        assert_eq!(q.push_message(&second), QueuePush::Queued);
+        assert_eq!(q.pending_len(), q.limit);
+    }
+
+    #[test]
+    fn push_message_overflow_leaves_the_queue_untouched() {
+        let first = encode(&Message::Ping { token: 1 });
+        let second = Message::Pong { token: 2 };
+        // Part of the first frame is already written: the limit counts
+        // pending bytes, and the frame would end one byte past it.
+        let mut q = WriteQueue::new(first.len() - 3 + encode(&second).len() - 1);
+        assert_eq!(q.push(&first), QueuePush::Queued);
+        q.consume(3);
+        let before = q.pending().to_vec();
+        assert_eq!(q.push_message(&second), QueuePush::Overflow);
+        assert_eq!(q.pending(), before.as_slice(), "no partial frame queued");
     }
 
     #[test]

@@ -535,7 +535,7 @@ impl Shard {
                     &self.shared.limiter,
                 );
                 for reply in replies {
-                    if conn.core.outbound.push(&aipow_wire::encode(&reply)) == QueuePush::Overflow {
+                    if conn.core.outbound.push_message(&reply) == QueuePush::Overflow {
                         // The peer is not reading its replies; holding
                         // more memory for it is exactly what a
                         // slow-reader flood wants.
@@ -553,13 +553,10 @@ impl Shard {
                     DecodeError::UnsupportedVersion { .. } => RejectCode::ProtocolMismatch,
                     _ => RejectCode::Malformed,
                 };
-                let _ = conn
-                    .core
-                    .outbound
-                    .push(&aipow_wire::encode(&Message::Rejected {
-                        code,
-                        detail: e.to_string(),
-                    }));
+                let _ = conn.core.outbound.push_message(&Message::Rejected {
+                    code,
+                    detail: e.to_string(),
+                });
                 conn.core.closing = true;
                 break;
             }

@@ -142,7 +142,9 @@ impl PowServer {
     /// shard pollers, or an [`io::ErrorKind::InvalidInput`] error when
     /// [`ServerConfig::online`] fails [`OnlineSettings::validate`]
     /// (version-controlled settings must reject bad values, not panic
-    /// the server).
+    /// the server), or when a resource's grant frame would exceed
+    /// [`MAX_PAYLOAD_LEN`](aipow_wire::MAX_PAYLOAD_LEN) — no client could
+    /// read it, and each would find out only after paying for it.
     pub fn start<A: ToSocketAddrs>(
         addr: A,
         framework: Arc<Framework>,
@@ -150,6 +152,21 @@ impl PowServer {
         resources: HashMap<String, Vec<u8>>,
         config: ServerConfig,
     ) -> io::Result<PowServer> {
+        // A grant's payload is `path_len(4) ‖ path ‖ body_len(4) ‖ body`.
+        if let Some((path, body)) = resources
+            .iter()
+            .find(|(path, body)| 8 + path.len() + body.len() > aipow_wire::MAX_PAYLOAD_LEN)
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "resource {path}: a {}-byte body does not fit one frame \
+                     (at most {} bytes with this path)",
+                    body.len(),
+                    aipow_wire::MAX_PAYLOAD_LEN.saturating_sub(8 + path.len())
+                ),
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
 
@@ -315,6 +332,43 @@ mod tests {
         let addr = server.local_addr();
         assert_ne!(addr.port(), 0);
         server.shutdown();
+    }
+
+    /// Starts a server whose only resource is `path` with a body of
+    /// `body_len` bytes.
+    fn start_with_body(path: &str, body_len: usize) -> io::Result<PowServer> {
+        let framework = Arc::new(test_builder(0.0).build().unwrap());
+        let features = Arc::new(StaticFeatureSource::new(FeatureVector::zeros()));
+        let mut resources = HashMap::new();
+        resources.insert(path.to_string(), vec![0x5a; body_len]);
+        PowServer::start(
+            "127.0.0.1:0",
+            framework,
+            features,
+            resources,
+            ServerConfig::default(),
+        )
+    }
+
+    #[test]
+    fn the_largest_grant_that_fits_one_frame_is_served() {
+        use crate::client::PowClient;
+        let path = "/big";
+        let largest = aipow_wire::MAX_PAYLOAD_LEN - 8 - path.len();
+        let server = start_with_body(path, largest).unwrap();
+        let mut client = PowClient::connect(server.local_addr()).unwrap();
+        let report = client.fetch(path).unwrap();
+        assert_eq!(report.body.len(), largest);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_grant_one_byte_over_the_frame_limit_is_refused_at_start() {
+        let path = "/big";
+        let over = aipow_wire::MAX_PAYLOAD_LEN - 8 - path.len() + 1;
+        let err = start_with_body(path, over).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(path), "{err}");
     }
 
     #[test]

@@ -166,7 +166,8 @@ fn flood_ip() -> IpAddr {
 /// One benign exchange on an already-open connection: a `Ping` frame is
 /// encoded, assembled byte-for-byte as the reactor would from a read,
 /// dispatched through the real admission machinery, and the reply
-/// queued on the connection's bounded outbound queue.
+/// encoded in place onto the connection's bounded outbound queue, as the
+/// reactor's reply loop does.
 fn exchange(
     core: &mut ConnCore,
     framework: &Framework,
@@ -186,10 +187,9 @@ fn exchange(
     }
     let replies = dispatch_frames(frames, core.peer_ip, framework, features, resources, &None);
     for reply in &replies {
-        let encoded = aipow_wire::encode(reply);
         assert!(
             matches!(
-                core.outbound.push(&encoded),
+                core.outbound.push_message(reply),
                 aipow_net::reactor::QueuePush::Queued
             ),
             "benign reply overflowed the outbound queue"

@@ -9,6 +9,8 @@
 use crate::backend::{BackendId, BackendRegistry};
 use crate::difficulty::Difficulty;
 use aipow_crypto::sha256::Digest;
+use core::fmt::{self, Write as _};
+use core::ops::Deref;
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -17,6 +19,84 @@ pub const CHALLENGE_VERSION: u8 = 1;
 
 /// Size of the anti-precomputation seed in bytes.
 pub const SEED_LEN: usize = 16;
+
+/// Longest [`Challenge::authenticated_bytes`]: version, backend, backend
+/// parameter, seed, issue time, TTL, difficulty, and a tagged IPv6
+/// address (`0x06 ‖ 16 bytes`).
+pub const AUTH_BYTES_LEN: usize = 1 + 1 + 1 + SEED_LEN + 8 + 8 + 1 + 17;
+
+/// Longest textual IP address: an IPv6 address with an embedded IPv4
+/// tail, `xxxx:xxxx:xxxx:xxxx:xxxx:xxxx:ddd.ddd.ddd.ddd`.
+const MAX_IP_TEXT_LEN: usize = 45;
+
+/// Longest [`Solution::preimage`]: the authenticated bytes, the tag, the
+/// textual client IP, and an 8-byte nonce.
+pub const PREIMAGE_LEN: usize = AUTH_BYTES_LEN + 32 + MAX_IP_TEXT_LEN + 8;
+
+/// A hash input assembled on the stack: at most `N` bytes, read as
+/// `[u8]` through `Deref`. The MAC input and the work preimage are
+/// bounded by construction, so issuing and verifying build them without
+/// touching the heap.
+#[derive(Clone)]
+pub struct HashInput<const N: usize> {
+    bytes: [u8; N],
+    len: usize,
+}
+
+/// [`Challenge::authenticated_bytes`]: the issuer's MAC input.
+pub type AuthBytes = HashInput<AUTH_BYTES_LEN>;
+
+/// [`Challenge::preimage_prefix`] and [`Solution::preimage`]: the
+/// work-function input, with room for the nonce.
+pub type Preimage = HashInput<PREIMAGE_LEN>;
+
+impl<const N: usize> HashInput<N> {
+    fn new() -> Self {
+        HashInput {
+            bytes: [0; N],
+            len: 0,
+        }
+    }
+
+    /// Appends `src`. Every caller appends a bounded field to a buffer
+    /// sized for the largest encoding, so slicing past `N` is a sizing
+    /// bug, not an input condition.
+    fn extend(&mut self, src: &[u8]) {
+        self.bytes[self.len..self.len + src.len()].copy_from_slice(src);
+        self.len += src.len();
+    }
+}
+
+impl<const N: usize> Deref for HashInput<N> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+impl<const N: usize> PartialEq for HashInput<N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<const N: usize> fmt::Debug for HashInput<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Text (the client IP) is written straight into the buffer; a write
+/// that does not fit fails instead of truncating.
+impl<const N: usize> fmt::Write for HashInput<N> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.len + s.len() > N {
+            return Err(fmt::Error);
+        }
+        self.extend(s.as_bytes());
+        Ok(())
+    }
+}
 
 /// A proof-of-work challenge as issued to a client.
 ///
@@ -170,16 +250,23 @@ impl Challenge {
     /// parameter is what makes backend selection non-negotiable: a client
     /// downgrading a memory-hard challenge to SHA-256 (or shrinking its
     /// arena) invalidates the tag.
-    pub fn authenticated_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 2 + SEED_LEN + 8 + 8 + 1 + 17);
-        out.push(self.version);
-        out.push(self.backend.as_u8());
-        out.push(self.backend_param);
-        out.extend_from_slice(&self.seed);
-        out.extend_from_slice(&self.issued_at_ms.to_be_bytes());
-        out.extend_from_slice(&self.ttl_ms.to_be_bytes());
-        out.push(self.difficulty.bits());
-        encode_ip(&mut out, self.client_ip);
+    pub fn authenticated_bytes(&self) -> AuthBytes {
+        let mut out = AuthBytes::new();
+        out.extend(&[self.version, self.backend.as_u8(), self.backend_param]);
+        out.extend(&self.seed);
+        out.extend(&self.issued_at_ms.to_be_bytes());
+        out.extend(&self.ttl_ms.to_be_bytes());
+        out.extend(&[self.difficulty.bits()]);
+        match self.client_ip {
+            IpAddr::V4(v4) => {
+                out.extend(&[0x04]);
+                out.extend(&v4.octets());
+            }
+            IpAddr::V6(v6) => {
+                out.extend(&[0x06]);
+                out.extend(&v6.octets());
+            }
+        }
         out
     }
 
@@ -187,25 +274,21 @@ impl Challenge {
     /// (including the tag) concatenated with the textual client IP, per
     /// paper §II.4 — “concatenated with the client's IP address to form a
     /// string that is not altered”. The solver appends only the nonce.
-    pub fn preimage_prefix(&self, client_ip: IpAddr) -> Vec<u8> {
-        let mut out = self.authenticated_bytes();
-        out.extend_from_slice(&self.tag);
-        out.extend_from_slice(client_ip.to_string().as_bytes());
+    /// The IP text is the address's `Display` form, written in place.
+    pub fn preimage_prefix(&self, client_ip: IpAddr) -> Preimage {
+        let mut out = Preimage::new();
+        out.extend(&self.authenticated_bytes());
+        out.extend(&self.tag);
+        write!(out, "{client_ip}")
+            .expect("capacity invariant: an IP address prints in at most 45 bytes");
         out
     }
-}
 
-/// Appends a self-delimiting IP encoding: `0x04 ‖ 4 bytes` or `0x06 ‖ 16 bytes`.
-fn encode_ip(out: &mut Vec<u8>, ip: IpAddr) {
-    match ip {
-        IpAddr::V4(v4) => {
-            out.push(0x04);
-            out.extend_from_slice(&v4.octets());
-        }
-        IpAddr::V6(v6) => {
-            out.push(0x06);
-            out.extend_from_slice(&v6.octets());
-        }
+    /// The same challenge carrying `tag`: the issuer MACs the
+    /// authenticated bytes of the untagged challenge, then sets the tag.
+    pub(crate) fn with_tag(mut self, tag: [u8; 32]) -> Self {
+        self.tag = tag;
+        self
     }
 }
 
@@ -233,13 +316,21 @@ impl NonceWidth {
     /// Panics if `nonce` does not fit the width; the solver guarantees this
     /// by construction, and wire decoding validates before calling.
     pub fn encode(&self, nonce: u64) -> Vec<u8> {
+        let mut out = HashInput::<8>::new();
+        self.append(nonce, &mut out);
+        out.to_vec()
+    }
+
+    /// Appends `nonce` at this width (big-endian); panics as
+    /// [`encode`](Self::encode).
+    fn append<const N: usize>(&self, nonce: u64, out: &mut HashInput<N>) {
         match self {
             NonceWidth::U32 => {
                 let n32 = u32::try_from(nonce)
                     .expect("width invariant: U32-width stamps carry u32-range nonces");
-                n32.to_be_bytes().to_vec()
+                out.extend(&n32.to_be_bytes());
             }
-            NonceWidth::U64 => nonce.to_be_bytes().to_vec(),
+            NonceWidth::U64 => out.extend(&nonce.to_be_bytes()),
         }
     }
 
@@ -300,9 +391,9 @@ impl Solution {
     /// The full work-function input for a claimed client IP: the
     /// challenge's [`preimage_prefix`](Challenge::preimage_prefix)
     /// followed by the nonce encoded at its width.
-    pub fn preimage(&self, client_ip: IpAddr) -> Vec<u8> {
+    pub fn preimage(&self, client_ip: IpAddr) -> Preimage {
         let mut preimage = self.challenge.preimage_prefix(client_ip);
-        preimage.extend_from_slice(&self.width.encode(self.nonce));
+        self.width.append(self.nonce, &mut preimage);
         preimage
     }
 
@@ -551,7 +642,7 @@ mod tests {
             [3u8; 32],
         );
         let s = Solution::new(c.clone(), 42, NonceWidth::U64);
-        let mut preimage = c.preimage_prefix(ip);
+        let mut preimage = c.preimage_prefix(ip).to_vec();
         preimage.extend_from_slice(&NonceWidth::U64.encode(42));
         let want = aipow_crypto::memmix::shared_arena(1).walk(&preimage);
         assert_eq!(s.digest(ip), want);
@@ -578,5 +669,125 @@ mod tests {
         );
         let s = Solution::new(c, 0, NonceWidth::U64);
         assert!(s.digest_with(ip, BackendRegistry::global()).is_none());
+    }
+
+    /// The heap builders these stack forms replaced, kept verbatim as the
+    /// oracle: the MAC input and the work preimage must not change by a
+    /// byte, or every outstanding challenge stops verifying.
+    mod vec_oracle {
+        use super::*;
+
+        pub fn authenticated_bytes(c: &Challenge) -> Vec<u8> {
+            let mut out = Vec::with_capacity(1 + 2 + SEED_LEN + 8 + 8 + 1 + 17);
+            out.push(c.version);
+            out.push(c.backend.as_u8());
+            out.push(c.backend_param);
+            out.extend_from_slice(&c.seed);
+            out.extend_from_slice(&c.issued_at_ms.to_be_bytes());
+            out.extend_from_slice(&c.ttl_ms.to_be_bytes());
+            out.push(c.difficulty.bits());
+            encode_ip(&mut out, c.client_ip);
+            out
+        }
+
+        fn encode_ip(out: &mut Vec<u8>, ip: IpAddr) {
+            match ip {
+                IpAddr::V4(v4) => {
+                    out.push(0x04);
+                    out.extend_from_slice(&v4.octets());
+                }
+                IpAddr::V6(v6) => {
+                    out.push(0x06);
+                    out.extend_from_slice(&v6.octets());
+                }
+            }
+        }
+
+        pub fn preimage_prefix(c: &Challenge, client_ip: IpAddr) -> Vec<u8> {
+            let mut out = authenticated_bytes(c);
+            out.extend_from_slice(&c.tag);
+            out.extend_from_slice(client_ip.to_string().as_bytes());
+            out
+        }
+
+        pub fn preimage(s: &Solution, client_ip: IpAddr) -> Vec<u8> {
+            let mut preimage = preimage_prefix(&s.challenge, client_ip);
+            preimage.extend_from_slice(&s.width.encode(s.nonce));
+            preimage
+        }
+    }
+
+    #[test]
+    fn the_widest_ipv6_challenge_fits_the_stack_forms() {
+        let widest = IpAddr::V6(Ipv6Addr::from([0xffff; 8]));
+        assert_eq!(widest.to_string().len(), 39);
+        let s = Solution::new(sample_challenge(widest), u64::MAX, NonceWidth::U64);
+        assert_eq!(s.challenge.authenticated_bytes().len(), AUTH_BYTES_LEN);
+        assert_eq!(&*s.preimage(widest), vec_oracle::preimage(&s, widest));
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// IPv4, arbitrary IPv6, IPv4-mapped IPv6 (`::ffff:a.b.c.d`,
+        /// printed with a dotted tail) and the widest IPv6 text.
+        fn arb_ip() -> impl Strategy<Value = IpAddr> {
+            prop_oneof![
+                any::<[u8; 4]>().prop_map(|o| IpAddr::V4(Ipv4Addr::from(o))),
+                any::<[u8; 16]>().prop_map(|o| IpAddr::V6(Ipv6Addr::from(o))),
+                any::<[u8; 4]>().prop_map(|o| IpAddr::V6(Ipv4Addr::from(o).to_ipv6_mapped())),
+                Just(IpAddr::V6(Ipv6Addr::from([0xffff; 8]))),
+            ]
+        }
+
+        prop_compose! {
+            fn arb_solution()(
+                version in any::<u8>(),
+                backend in any::<u8>(),
+                backend_param in any::<u8>(),
+                seed in any::<[u8; SEED_LEN]>(),
+                issued_at_ms in any::<u64>(),
+                ttl_ms in any::<u64>(),
+                bits in 0u8..=64,
+                ip in arb_ip(),
+                tag in any::<[u8; 32]>(),
+                nonce in any::<u64>(),
+                wide in any::<bool>(),
+            ) -> Solution {
+                let challenge = Challenge::from_parts_backend(
+                    version,
+                    BackendId(backend),
+                    backend_param,
+                    seed,
+                    issued_at_ms,
+                    ttl_ms,
+                    Difficulty::new(bits).expect("bits in range"),
+                    ip,
+                    tag,
+                );
+                let (nonce, width) = if wide {
+                    (nonce, NonceWidth::U64)
+                } else {
+                    (nonce & 0xFFFF_FFFF, NonceWidth::U32)
+                };
+                Solution::new(challenge, nonce, width)
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn stack_forms_equal_the_vec_builders(
+                solution in arb_solution(),
+                claimed_ip in arb_ip(),
+            ) {
+                let c = &solution.challenge;
+                prop_assert_eq!(&*c.authenticated_bytes(), vec_oracle::authenticated_bytes(c));
+                for ip in [claimed_ip, c.client_ip()] {
+                    prop_assert_eq!(&*c.preimage_prefix(ip), vec_oracle::preimage_prefix(c, ip));
+                    prop_assert_eq!(&*solution.preimage(ip), vec_oracle::preimage(&solution, ip));
+                }
+            }
+        }
     }
 }

@@ -240,11 +240,10 @@ impl Issuer {
             // issuer's own registry (the default route or a router vetted
             // by config validation) reach the mint path
             .unwrap_or_else(|| panic!("issuer routing: unknown backend {backend}"));
-        let param = self.param_for(registered);
         let unsigned = Challenge::from_parts_backend(
             CHALLENGE_VERSION,
             backend,
-            param,
+            self.param_for(registered),
             seed,
             now_ms,
             self.ttl_ms,
@@ -253,17 +252,7 @@ impl Issuer {
             [0u8; 32],
         );
         let tag = self.prepared_mac.mac(&unsigned.authenticated_bytes());
-        Challenge::from_parts_backend(
-            CHALLENGE_VERSION,
-            backend,
-            param,
-            seed,
-            now_ms,
-            self.ttl_ms,
-            difficulty,
-            client_ip,
-            tag.into_bytes(),
-        )
+        unsigned.with_tag(tag.into_bytes())
     }
 }
 

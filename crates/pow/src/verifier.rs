@@ -13,7 +13,7 @@
 //! the puzzle difficulty — measured in bench `verify_cost` (claim C6).
 
 use crate::backend::{batch_by_key, BackendId, BackendRegistry, PuzzleBackend};
-use crate::challenge::{Challenge, Solution, CHALLENGE_VERSION};
+use crate::challenge::{AuthBytes, Challenge, Preimage, Solution, CHALLENGE_VERSION};
 use crate::difficulty::Difficulty;
 use crate::replay::ReplayGuard;
 use crate::time::{SystemClock, TimeSource};
@@ -409,7 +409,7 @@ impl<'a> PreparedVerify<'a> {
             .collect();
 
         let admitted = verdicts.iter().filter(|verdict| verdict.is_ok()).count();
-        let mut auth: Vec<Vec<u8>> = Vec::with_capacity(admitted);
+        let mut auth: Vec<AuthBytes> = Vec::with_capacity(admitted);
         auth.extend(
             submissions
                 .iter()
@@ -417,7 +417,7 @@ impl<'a> PreparedVerify<'a> {
                 .filter(|(_, verdict)| verdict.is_ok())
                 .map(|((solution, _), _)| solution.challenge.authenticated_bytes()),
         );
-        let msgs: Vec<&[u8]> = auth.iter().map(Vec::as_slice).collect();
+        let msgs: Vec<&[u8]> = auth.iter().map(|bytes| &**bytes).collect();
         let tags = self.verifier.mac_key.mac_batch(&msgs, lanes);
         let survivors = verdicts
             .iter_mut()
@@ -432,7 +432,7 @@ impl<'a> PreparedVerify<'a> {
         // Work digests, one batched hook call per backend, in survivor
         // order.
         let bound = verdicts.iter().filter(|verdict| verdict.is_ok()).count();
-        let mut work: Vec<(&Solution, &dyn PuzzleBackend, Vec<u8>)> = Vec::with_capacity(bound);
+        let mut work: Vec<(&Solution, &dyn PuzzleBackend, Preimage)> = Vec::with_capacity(bound);
         work.extend(submissions.iter().zip(&verdicts).filter_map(
             |((solution, claimed_ip), verdict)| {
                 let backend = *verdict.as_ref().ok()?;
@@ -447,10 +447,7 @@ impl<'a> PreparedVerify<'a> {
                     .iter()
                     .map(|&pos| work[pos].0.challenge.backend_param())
                     .collect();
-                let msgs: Vec<&[u8]> = positions
-                    .iter()
-                    .map(|&pos| work[pos].2.as_slice())
-                    .collect();
+                let msgs: Vec<&[u8]> = positions.iter().map(|&pos| &*work[pos].2).collect();
                 work[positions[0]]
                     .1
                     .work_digest_batch(&params, &msgs, lanes)

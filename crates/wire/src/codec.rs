@@ -6,7 +6,7 @@
 
 use crate::message::{Message, RejectCode};
 use aipow_pow::{BackendId, Challenge, Difficulty, NonceWidth};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use core::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -109,14 +109,36 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Frame header length: `magic(2) ‖ version(1) ‖ type(1) ‖ len(4)`.
+const HEADER_LEN: usize = 8;
+
+/// Starting capacity of a frame built by [`encode`]: every frame but a
+/// resource grant or telemetry reply with long fields fits, so the
+/// common frames cost one allocation.
+const ENCODE_CAPACITY: usize = 128;
+
 /// Encodes a message into a complete frame (header + payload).
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut payload = BytesMut::new();
+    let mut frame = Vec::with_capacity(ENCODE_CAPACITY);
+    encode_into(msg, &mut frame);
+    frame
+}
+
+/// Appends `msg`'s complete frame (header + payload) to `out`, leaving
+/// the bytes already in `out` untouched: the header goes down with a zero
+/// length, the payload is written straight after it, and the length is
+/// patched in last. The bytes appended equal [`encode`]'s output.
+pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.put_u16(MAGIC);
+    out.put_u8(PROTOCOL_VERSION);
+    out.put_u8(msg.type_byte());
+    out.put_u32(0);
     match msg {
-        Message::RequestResource { path } => put_str(&mut payload, path),
+        Message::RequestResource { path } => put_str(out, path),
         Message::ChallengeIssued { challenge, path } => {
-            put_challenge(&mut payload, challenge);
-            put_str(&mut payload, path);
+            put_challenge(out, challenge);
+            put_str(out, path);
         }
         Message::SubmitSolution {
             challenge,
@@ -125,40 +147,34 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             backend,
             path,
         } => {
-            put_challenge(&mut payload, challenge);
-            payload.put_u64(*nonce);
-            payload.put_u8(match width {
+            put_challenge(out, challenge);
+            out.put_u64(*nonce);
+            out.put_u8(match width {
                 NonceWidth::U32 => 4,
                 NonceWidth::U64 => 8,
             });
-            payload.put_u8(backend.as_u8());
-            put_str(&mut payload, path);
+            out.put_u8(backend.as_u8());
+            put_str(out, path);
         }
         Message::ResourceGranted { path, body } => {
-            put_str(&mut payload, path);
-            put_bytes(&mut payload, body);
+            put_str(out, path);
+            put_bytes(out, body);
         }
         Message::Rejected { code, detail } => {
-            payload.put_u8(code.as_u8());
-            put_str(&mut payload, detail);
+            out.put_u8(code.as_u8());
+            put_str(out, detail);
         }
-        Message::Ping { token } => payload.put_u64(*token),
-        Message::Pong { token } => payload.put_u64(*token),
+        Message::Ping { token } => out.put_u64(*token),
+        Message::Pong { token } => out.put_u64(*token),
         Message::TelemetryRequest => {}
         Message::TelemetryReply { json, prometheus } => {
-            put_str(&mut payload, json);
-            put_str(&mut payload, prometheus);
+            put_str(out, json);
+            put_str(out, prometheus);
         }
-        Message::Hello { version } => payload.put_u8(*version),
+        Message::Hello { version } => out.put_u8(*version),
     }
-
-    let mut frame = BytesMut::with_capacity(8 + payload.len());
-    frame.put_u16(MAGIC);
-    frame.put_u8(PROTOCOL_VERSION);
-    frame.put_u8(msg.type_byte());
-    frame.put_u32(payload.len() as u32);
-    frame.extend_from_slice(&payload);
-    frame.to_vec()
+    let payload_len = (out.len() - start - HEADER_LEN) as u32;
+    out[start + 4..start + HEADER_LEN].copy_from_slice(&payload_len.to_be_bytes());
 }
 
 /// Decodes a complete frame produced by [`encode`].
@@ -169,7 +185,7 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 /// trailing-garbage input.
 pub fn decode(frame: &[u8]) -> Result<Message, DecodeError> {
     let mut buf = frame;
-    if buf.remaining() < 8 {
+    if buf.remaining() < HEADER_LEN {
         return Err(DecodeError::Truncated);
     }
     let magic = buf.get_u16();
@@ -265,17 +281,17 @@ fn decode_payload(msg_type: u8, buf: &mut &[u8]) -> Result<Message, DecodeError>
 
 // --- field helpers ---------------------------------------------------------
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     buf.put_u32(b.len() as u32);
     buf.put_slice(b);
 }
 
-fn put_ip(buf: &mut BytesMut, ip: IpAddr) {
+fn put_ip(buf: &mut Vec<u8>, ip: IpAddr) {
     match ip {
         IpAddr::V4(v4) => {
             buf.put_u8(4);
@@ -288,7 +304,7 @@ fn put_ip(buf: &mut BytesMut, ip: IpAddr) {
     }
 }
 
-fn put_challenge(buf: &mut BytesMut, c: &Challenge) {
+fn put_challenge(buf: &mut Vec<u8>, c: &Challenge) {
     buf.put_u8(c.version());
     buf.put_u8(c.backend().as_u8());
     buf.put_u8(c.backend_param());
@@ -397,15 +413,25 @@ mod tests {
     use super::*;
     use aipow_pow::{Difficulty, Issuer};
 
+    /// A fixed-clock issuer: its seeds come from a key-seeded DRBG, so
+    /// every challenge it mints is the same on every run (the golden
+    /// frames below depend on it).
+    fn sample_issuer() -> Issuer {
+        Issuer::with_clock(
+            &[5u8; 32],
+            std::sync::Arc::new(aipow_pow::ManualClock::at(1_700_000_000_000)),
+        )
+    }
+
     fn sample_challenge() -> Challenge {
-        Issuer::new(&[5u8; 32]).issue(
+        sample_issuer().issue(
             IpAddr::V4(Ipv4Addr::new(203, 0, 113, 9)),
             Difficulty::new(7).unwrap(),
         )
     }
 
     fn sample_memory_hard_challenge() -> Challenge {
-        Issuer::new(&[5u8; 32])
+        sample_issuer()
             .with_backend_param(BackendId::MEMORY_HARD, 2)
             .issue_backend(
                 IpAddr::V4(Ipv4Addr::new(203, 0, 113, 9)),
@@ -461,6 +487,37 @@ mod tests {
                 version: PROTOCOL_VERSION,
             },
         ]
+    }
+
+    /// Every frame of [`all_messages`] as the `BytesMut`-era encoder
+    /// wrote it, in hex: the wire format (and the issuer's MAC over the
+    /// sample challenges) must not move.
+    const GOLDEN_FRAMES: [&str; 12] = [
+        "a1f002010000000f0000000b2f696e6465782e68746d6c",
+        "a1f002020000004f0100009f0e64c0ed3f06941bc1208465827adf0000018bcfe5680000000000000075300704cb007109535ecd7ec6f4786b66af872dd06562d5847b7204bcb8bfa79c3eebe464715f7c000000022f61",
+        "a1f00202000000500101029f0e64c0ed3f06941bc1208465827adf0000018bcfe5680000000000000075300704cb007109005556fc6252db346b5b46e318f022ecfae1b1820b3d8196ed07960084a8f1b8000000032f6d68",
+        "a1f00203000000590100009f0e64c0ed3f06941bc1208465827adf0000018bcfe5680000000000000075300704cb007109535ecd7ec6f4786b66af872dd06562d5847b7204bcb8bfa79c3eebe464715f7c0000deadbeefcafe0800000000022f61",
+        "a1f00203000000570101029f0e64c0ed3f06941bc1208465827adf0000018bcfe5680000000000000075300704cb007109005556fc6252db346b5b46e318f022ecfae1b1820b3d8196ed07960084a8f1b8000000000000002a040100000000",
+        "a1f0020400000011000000052f6461746100000004010203ff",
+        "a1f00205000000160100000011696e73756666696369656e7420776f726b",
+        "a1f00206000000080000000000000007",
+        "a1f00207000000080000000000000007",
+        "a1f0020800000000",
+        "a1f0020900000060000000177b226368616c6c656e6765735f697373756564223a337d00000041232054595045206169706f775f6368616c6c656e6765735f69737375656420636f756e7465720a6169706f775f6368616c6c656e6765735f69737375656420330a",
+        "a1f0020a0000000102",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn frames_match_the_golden_fixtures() {
+        let messages = all_messages();
+        assert_eq!(messages.len(), GOLDEN_FRAMES.len());
+        for (msg, want) in messages.iter().zip(GOLDEN_FRAMES) {
+            assert_eq!(hex(&encode(msg)), want, "{msg:?}");
+        }
     }
 
     #[test]
@@ -704,6 +761,20 @@ mod tests {
             #[test]
             fn roundtrip(msg in arb_message()) {
                 prop_assert_eq!(decode(&encode(&msg)).unwrap(), msg);
+            }
+
+            /// Encoding in place appends exactly `encode`'s frame and
+            /// leaves whatever the buffer already held alone.
+            #[test]
+            fn encode_into_appends_the_frame(
+                prefix in proptest::collection::vec(any::<u8>(), 0..64),
+                msg in arb_message(),
+            ) {
+                let mut out = prefix.clone();
+                encode_into(&msg, &mut out);
+                let mut want = prefix;
+                want.extend_from_slice(&encode(&msg));
+                prop_assert_eq!(out, want);
             }
 
             /// Arbitrary garbage never panics the decoder.
