@@ -74,7 +74,7 @@ pub struct FrameworkConfig {
     /// Ceiling on the group size the framework's batch entry points
     /// (`handle_request_batch`, `handle_solution_batch`) process per
     /// pipeline pass — bounds how long one batch holds the policy
-    /// read-lock, the seed-DRBG lock, and each audit/ledger shard lock.
+    /// read-lock and each audit/ledger shard lock.
     /// The TCP server drains up to this many pipelined frames per
     /// connection wakeup. Must be at least 1.
     pub max_batch: usize,

@@ -358,8 +358,8 @@ impl Framework {
     /// admits a group of requests through one pipeline pass per
     /// [`max_batch`](Self::max_batch)-sized chunk, amortizing the
     /// per-request fixed costs — one clock reading, one policy
-    /// read-lock, one seed-DRBG lock, one audit shard-lock acquisition
-    /// per shard, one batched sink delivery — across the group.
+    /// read-lock, one audit shard-lock acquisition per shard, one
+    /// batched sink delivery — across the group.
     /// Decisions are returned in request order and are the values the
     /// sequential path would produce *given the same inputs*: every
     /// request in a chunk observes the chunk's one clock reading and

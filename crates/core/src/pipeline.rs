@@ -15,9 +15,9 @@
 //!   sequential entry points pass a batch of one), so the batch entry
 //!   points ([`Framework::handle_request_batch`],
 //!   [`Framework::handle_solution_batch`]) pay each fixed cost once per
-//!   group: one clock reading, one policy read-lock, one DRBG lock for
-//!   all seeds, one audit-shard lock acquisition per shard, one grouped
-//!   ledger charge, one batched sink notification.
+//!   group: one clock reading, one policy read-lock, one audit-shard
+//!   lock acquisition per shard, one grouped ledger charge, one batched
+//!   sink notification.
 //!
 //! The chains are:
 //!
@@ -374,9 +374,9 @@ impl AdmissionStage<RequestCtx<'_>> for PolicyStage {
 /// Figure-1 step 4: the issuer mints authenticated challenges. The
 /// framework's [`BackendRouter`](aipow_policy::BackendRouter) picks each
 /// client's puzzle backend from its score (suspicious clients can be
-/// routed to the memory-hard puzzle), then a batch takes the seed DRBG's
-/// lock once for all seeds
-/// ([`aipow_pow::Issuer::issue_batch_backend_at`]).
+/// routed to the memory-hard puzzle), then
+/// [`aipow_pow::Issuer::issue_backend_at`] mints each challenge; a seed
+/// draw is one atomic increment, so a batch has no seed cost to share.
 struct IssueStage;
 
 impl AdmissionStage<RequestCtx<'_>> for IssueStage {
@@ -389,10 +389,6 @@ impl AdmissionStage<RequestCtx<'_>> for IssueStage {
     }
 
     fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        let pending = batch.iter().filter(|ctx| ctx.decision.is_none()).count();
-        if pending == 0 {
-            return 0;
-        }
         // One router context per batch, mirroring the policy stage's
         // one-lock-one-context discipline.
         let route_ctx = PolicyContext {
@@ -401,61 +397,23 @@ impl AdmissionStage<RequestCtx<'_>> for IssueStage {
             under_attack: fw.under_attack.load(Ordering::Acquire),
             now_ms,
         };
-        match pending {
-            // lint:allow(no-unwrap) staging invariant: the pending == 0
-            // case returned before the policy lock was taken
-            0 => unreachable!("handled above"),
-            1 => {
-                // The sequential path and nearly-all-bypassed batches:
-                // no seed-buffer allocation, just the single mint.
-                let ctx = batch
-                    .iter_mut()
-                    .find(|ctx| ctx.decision.is_none())
-                    .expect("batch invariant: one pending context remains");
-                let difficulty = ctx
-                    .difficulty
-                    .expect("stage-order invariant: the policy stage ran first");
-                let backend = fw.router.route(ctx.score, &route_ctx);
-                let challenge =
-                    fw.issuer
-                        .issue_backend_at(ctx.client_ip, difficulty, backend, now_ms);
-                ctx.decision = Some(AdmissionDecision::Challenge(IssuedChallenge {
-                    challenge,
-                    score: ctx.score,
-                    difficulty,
-                }));
-            }
-            _ => {
-                let requests: Vec<(IpAddr, Difficulty, aipow_pow::BackendId)> = batch
-                    .iter()
-                    .filter(|ctx| ctx.decision.is_none())
-                    .map(|ctx| {
-                        (
-                            ctx.client_ip,
-                            ctx.difficulty
-                                .expect("stage-order invariant: the policy stage ran first"),
-                            fw.router.route(ctx.score, &route_ctx),
-                        )
-                    })
-                    .collect();
-                let challenges = fw.issuer.issue_batch_backend_at(&requests, now_ms);
-                let mut challenges = challenges.into_iter();
-                for ctx in batch.iter_mut().filter(|ctx| ctx.decision.is_none()) {
-                    let challenge = challenges
-                        .next()
-                        .expect("issuer invariant: one challenge per pending request");
-                    let difficulty = ctx
-                        .difficulty
-                        .expect("stage-order invariant: the policy stage ran first");
-                    ctx.decision = Some(AdmissionDecision::Challenge(IssuedChallenge {
-                        challenge,
-                        score: ctx.score,
-                        difficulty,
-                    }));
-                }
-            }
+        let mut issued = 0;
+        for ctx in batch.iter_mut().filter(|ctx| ctx.decision.is_none()) {
+            let difficulty = ctx
+                .difficulty
+                .expect("stage-order invariant: the policy stage ran first");
+            let backend = fw.router.route(ctx.score, &route_ctx);
+            let challenge = fw
+                .issuer
+                .issue_backend_at(ctx.client_ip, difficulty, backend, now_ms);
+            ctx.decision = Some(AdmissionDecision::Challenge(IssuedChallenge {
+                challenge,
+                score: ctx.score,
+                difficulty,
+            }));
+            issued += 1;
         }
-        pending
+        issued
     }
 }
 
@@ -813,19 +771,19 @@ mod tests {
         }
     }
 
+    /// Scores each request by its feature lane 0.
+    struct LaneModel;
+    impl aipow_reputation::ReputationModel for LaneModel {
+        fn score(&self, features: &FeatureVector) -> ReputationScore {
+            ReputationScore::new(features.get(0)).unwrap()
+        }
+        fn name(&self) -> &'static str {
+            "lane0"
+        }
+    }
+
     #[test]
     fn stage_items_exclude_contexts_the_stage_skipped() {
-        use aipow_reputation::ReputationModel;
-
-        struct LaneModel;
-        impl ReputationModel for LaneModel {
-            fn score(&self, features: &FeatureVector) -> ReputationScore {
-                ReputationScore::new(features.get(0)).unwrap()
-            }
-            fn name(&self) -> &'static str {
-                "lane0"
-            }
-        }
         let fw = FrameworkBuilder::new()
             .master_key([9u8; 32])
             .model(LaneModel)
@@ -840,7 +798,14 @@ mod tests {
         let high = FeatureVector::zeros().with(0, 5.0); // challenged
         let requests: Vec<(IpAddr, &FeatureVector)> =
             vec![(ip(1), &low), (ip(2), &low), (ip(3), &low), (ip(4), &high)];
-        let _ = fw.handle_request_batch(&requests);
+        let decisions = fw.handle_request_batch(&requests);
+        // Bypassed requests draw no seed: the one challenge carries the
+        // first seed of the framework key's stream.
+        let AdmissionDecision::Challenge(issued) = &decisions[3] else {
+            panic!("the high-score request is challenged");
+        };
+        let first = aipow_pow::Issuer::new(&[9u8; 32]).issue(ip(4), Difficulty::ZERO);
+        assert_eq!(issued.challenge.seed(), first.seed());
         let timings = fw.metrics_snapshot().stage_timings;
         let items = |name: &str| timings.iter().find(|t| t.stage == name).unwrap().items;
         // Score and bypass examine all four; policy and issue only the
@@ -850,6 +815,59 @@ mod tests {
         assert_eq!(items("policy"), 1);
         assert_eq!(items("issue"), 1);
         assert_eq!(items("request_telemetry"), 4);
+    }
+
+    /// One batch routes each request on its own and mints, byte for
+    /// byte, what the sequential path mints on a twin framework: the
+    /// per-request backends, and the seeds in request order.
+    #[test]
+    fn a_mixed_backend_batch_mints_the_sequential_challenges() {
+        use aipow_pow::BackendId;
+        let build = || {
+            let (builder, _clock) = FrameworkBuilder::new()
+                .master_key([9u8; 32])
+                .model(LaneModel)
+                .policy(LinearPolicy::policy1())
+                .config(crate::FrameworkConfig {
+                    memory_hard_above: Some(3.0),
+                    memory_hard_arena_mib: Some(1),
+                    ..Default::default()
+                })
+                .manual_clock(1_000);
+            builder.build().unwrap()
+        };
+        let challenges = |decisions: Vec<AdmissionDecision>| -> Vec<aipow_pow::Challenge> {
+            decisions
+                .into_iter()
+                .map(|decision| match decision {
+                    AdmissionDecision::Challenge(issued) => issued.challenge,
+                    AdmissionDecision::Admit { .. } => panic!("no bypass is configured"),
+                })
+                .collect()
+        };
+        let low = FeatureVector::zeros().with(0, 1.0);
+        let high = FeatureVector::zeros().with(0, 5.0);
+        let requests: Vec<(IpAddr, &FeatureVector)> =
+            vec![(ip(1), &low), (ip(2), &high), (ip(3), &low), (ip(4), &high)];
+        let batched = challenges(build().handle_request_batch(&requests));
+        let twin = build();
+        let sequential = challenges(
+            requests
+                .iter()
+                .map(|&(client, features)| twin.handle_request(client, features))
+                .collect(),
+        );
+        let backends: Vec<_> = batched.iter().map(|c| c.backend()).collect();
+        assert_eq!(
+            backends,
+            [
+                BackendId::SHA256,
+                BackendId::MEMORY_HARD,
+                BackendId::SHA256,
+                BackendId::MEMORY_HARD
+            ]
+        );
+        assert_eq!(batched, sequential);
     }
 
     #[test]

@@ -1,120 +1,62 @@
-//! Deterministic random byte generation via HMAC-DRBG.
+//! Puzzle seeds from HMAC-SHA-256 in counter mode.
 //!
-//! A simplified HMAC-DRBG in the style of NIST SP 800-90A: the issuer uses
-//! it to mint unique, unpredictable puzzle seeds from a keyed state, and the
-//! experiment harness uses it wherever a cryptographically-styled but fully
-//! reproducible byte stream is needed.
-//!
-//! This implementation intentionally omits SP 800-90A's entropy-source
-//! bookkeeping (reseed counters against prediction resistance); the
-//! workspace uses it as a deterministic expander, not as an OS RNG.
+//! The issuer stamps every puzzle with a "unique seed (for mitigating
+//! pre-computation attacks)" (paper §II.3): a value that never repeats and
+//! cannot be predicted without the key. A keyed counter gives both with no
+//! lock and no mutable state beyond one atomic integer: draw `n` is
+//! `HMAC(key, n as big-endian u64)[..16]`. This is not the SP 800-90A
+//! `HMAC_DRBG` state machine; it has no reseed, and its only inputs are the
+//! key material and the personalization label.
 
-use crate::hmac::HmacSha256;
+use crate::hkdf;
+use crate::hmac::HmacKey;
+use core::sync::atomic::{AtomicU64, Ordering};
 
-/// HMAC-DRBG over SHA-256.
+/// Length in bytes of one seed draw.
+pub const SEED16_LEN: usize = 16;
+
+/// A lock-free HMAC-SHA-256 counter-mode generator of 16-byte seeds.
+///
+/// The key is derived from the seed material with HKDF under the
+/// personalization label, so one master key yields unrelated streams under
+/// distinct labels. The counter starts at 0: two instances built from the
+/// same inputs draw the same stream.
 ///
 /// ```
 /// use aipow_crypto::drbg::HmacDrbg;
-/// let mut a = HmacDrbg::new(b"seed", b"context");
-/// let mut b = HmacDrbg::new(b"seed", b"context");
-/// assert_eq!(a.generate(16), b.generate(16)); // deterministic
+/// let a = HmacDrbg::new(b"seed", "context");
+/// let b = HmacDrbg::new(b"seed", "context");
+/// assert_eq!(a.generate_seed16(), b.generate_seed16()); // deterministic
+/// assert_ne!(a.generate_seed16(), a.generate_seed16()); // never repeats
 /// ```
-#[derive(Clone)]
 pub struct HmacDrbg {
-    key: [u8; 32],
-    value: [u8; 32],
+    /// The derived key with its HMAC schedule precomputed: a draw costs
+    /// the two compressions of one short HMAC.
+    prf: HmacKey,
+    /// The counter value of the next draw.
+    next: AtomicU64,
 }
 
 impl HmacDrbg {
-    /// Instantiates the DRBG from seed material and a personalization string.
-    pub fn new(seed: &[u8], personalization: &[u8]) -> Self {
-        let mut drbg = HmacDrbg {
-            key: [0u8; 32],
-            value: [1u8; 32],
-        };
-        let mut material = Vec::with_capacity(seed.len() + personalization.len());
-        material.extend_from_slice(seed);
-        material.extend_from_slice(personalization);
-        drbg.update(Some(&material));
-        drbg
-    }
-
-    /// The SP 800-90A `HMAC_DRBG_Update` state transition.
-    fn update(&mut self, provided: Option<&[u8]>) {
-        let mut m = HmacSha256::new(&self.key);
-        m.update(&self.value);
-        m.update(&[0x00]);
-        if let Some(data) = provided {
-            m.update(data);
-        }
-        self.key = m.finalize().into_bytes();
-        self.value = HmacSha256::mac(&self.key, &self.value).into_bytes();
-
-        if let Some(data) = provided {
-            let mut m = HmacSha256::new(&self.key);
-            m.update(&self.value);
-            m.update(&[0x01]);
-            m.update(data);
-            self.key = m.finalize().into_bytes();
-            self.value = HmacSha256::mac(&self.key, &self.value).into_bytes();
+    /// Builds the generator from seed material and a personalization label.
+    pub fn new(seed: &[u8], personalization: &str) -> Self {
+        HmacDrbg {
+            prf: HmacKey::new(&hkdf::derive_key32(seed, personalization)),
+            next: AtomicU64::new(0),
         }
     }
 
-    /// Mixes additional entropy or context into the state.
-    pub fn reseed(&mut self, data: &[u8]) {
-        self.update(Some(data));
-    }
-
-    /// Produces `len` pseudorandom bytes and advances the state.
-    pub fn generate(&mut self, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
-            self.value = HmacSha256::mac(&self.key, &self.value).into_bytes();
-            let take = (len - out.len()).min(32);
-            out.extend_from_slice(&self.value[..take]);
-        }
-        self.update(None);
-        out
-    }
-
-    /// Produces a fixed 16-byte seed, the size used by puzzle challenges.
-    pub fn generate_seed16(&mut self) -> [u8; 16] {
-        self.generate(16)
-            .try_into()
-            .expect("DRBG invariant: generate(16) returns exactly 16 bytes")
-    }
-
-    /// Produces `n` 16-byte seeds from a single generate request.
-    ///
-    /// One HMAC block yields two seeds and the post-request
-    /// `HMAC_DRBG_Update` runs once for the whole batch instead of once
-    /// per seed, so bulk issuance pays roughly a fifth of the per-seed
-    /// hash work of `n` separate [`generate_seed16`](Self::generate_seed16)
-    /// calls. The seeds are distinct draws of the stream (uniqueness is
-    /// the same property as consecutive single draws); the *sequence*
-    /// differs from `n` single calls because the state advances once, not
-    /// `n` times — callers rely on unpredictability and uniqueness, never
-    /// on the sequence itself.
-    pub fn generate_seeds16(&mut self, n: usize) -> Vec<[u8; 16]> {
-        let bytes = self.generate(16 * n);
-        bytes
-            .chunks_exact(16)
-            .map(|chunk| {
-                chunk
-                    .try_into()
-                    .expect("chunks_exact invariant: every chunk is 16 bytes")
-            })
-            .collect()
-    }
-
-    /// Produces a u64, useful for deriving per-stream RNG seeds.
-    pub fn generate_u64(&mut self) -> u64 {
-        let bytes = self.generate(8);
-        u64::from_be_bytes(
-            bytes
-                .try_into()
-                .expect("DRBG invariant: generate(8) returns exactly 8 bytes"),
-        )
+    /// Draws the next seed: `HMAC(key, n)[..16]` for the next counter
+    /// value `n`, big-endian. A `u64` counter does not wrap in the life of
+    /// a process (584 years at 10^9 draws per second).
+    pub fn generate_seed16(&self) -> [u8; SEED16_LEN] {
+        // relaxed: uniqueness needs only the RMW's atomicity (every draw
+        // gets its own counter value); the counter publishes no other data.
+        let n = self.next.fetch_add(1, Ordering::Relaxed);
+        let digest = self.prf.mac(&n.to_be_bytes());
+        let mut seed = [0u8; SEED16_LEN];
+        seed.copy_from_slice(&digest.as_bytes()[..SEED16_LEN]);
+        seed
     }
 }
 
@@ -128,51 +70,70 @@ impl core::fmt::Debug for HmacDrbg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmac::HmacSha256;
     use std::collections::HashSet;
+
+    fn draws(d: &HmacDrbg, n: usize) -> Vec<[u8; SEED16_LEN]> {
+        (0..n).map(|_| d.generate_seed16()).collect()
+    }
 
     #[test]
     fn deterministic_across_instances() {
-        let mut a = HmacDrbg::new(b"seed material", b"aipow");
-        let mut b = HmacDrbg::new(b"seed material", b"aipow");
-        assert_eq!(a.generate(100), b.generate(100));
-        assert_eq!(a.generate(7), b.generate(7));
+        let a = HmacDrbg::new(b"seed material", "aipow");
+        let b = HmacDrbg::new(b"seed material", "aipow");
+        assert_eq!(draws(&a, 100), draws(&b, 100));
+        assert_eq!(a.generate_seed16(), b.generate_seed16());
     }
 
     #[test]
     fn personalization_separates_streams() {
-        let mut a = HmacDrbg::new(b"seed", b"ctx-a");
-        let mut b = HmacDrbg::new(b"seed", b"ctx-b");
-        assert_ne!(a.generate(32), b.generate(32));
+        let a: HashSet<_> = draws(&HmacDrbg::new(b"seed", "ctx-a"), 1_000)
+            .into_iter()
+            .collect();
+        let b: HashSet<_> = draws(&HmacDrbg::new(b"seed", "ctx-b"), 1_000)
+            .into_iter()
+            .collect();
+        assert_eq!((a.len(), b.len()), (1_000, 1_000));
+        assert!(a.is_disjoint(&b));
     }
 
     #[test]
     fn sequential_outputs_differ() {
-        let mut d = HmacDrbg::new(b"seed", b"");
-        let first = d.generate(32);
-        let second = d.generate(32);
+        let d = HmacDrbg::new(b"seed", "");
+        let first = d.generate_seed16();
+        let second = d.generate_seed16();
         assert_ne!(first, second);
     }
 
+    /// A counter-mode stream has no reseed: new seed material builds a new
+    /// generator, and its stream shares no draw with the old one.
     #[test]
     fn reseed_changes_stream() {
-        let mut a = HmacDrbg::new(b"seed", b"");
-        let mut b = HmacDrbg::new(b"seed", b"");
-        b.reseed(b"extra entropy");
-        assert_ne!(a.generate(32), b.generate(32));
+        let a: HashSet<_> = draws(&HmacDrbg::new(b"seed", ""), 1_000)
+            .into_iter()
+            .collect();
+        let b: HashSet<_> = draws(&HmacDrbg::new(b"extra entropy", ""), 1_000)
+            .into_iter()
+            .collect();
+        assert!(a.is_disjoint(&b));
     }
 
+    /// Each draw is its own counter block: draw `n` is the known answer
+    /// `HMAC(HKDF(seed, label), n_be8)[..16]`, spelled out with the
+    /// unprepared HMAC, also where the counter carries into its next byte.
     #[test]
     fn request_spanning_blocks() {
-        let mut d = HmacDrbg::new(b"seed", b"");
-        assert_eq!(d.generate(0).len(), 0);
-        assert_eq!(d.generate(31).len(), 31);
-        assert_eq!(d.generate(33).len(), 33);
-        assert_eq!(d.generate(97).len(), 97);
+        let d = HmacDrbg::new(b"seed", "blocks");
+        let key = hkdf::derive_key32(b"seed", "blocks");
+        for (n, seed) in draws(&d, 258).iter().enumerate() {
+            let want = HmacSha256::mac(&key, &(n as u64).to_be_bytes());
+            assert_eq!(seed[..], want.as_bytes()[..SEED16_LEN], "draw {n}");
+        }
     }
 
     #[test]
     fn seeds_are_unique_over_many_draws() {
-        let mut d = HmacDrbg::new(b"uniqueness", b"seeds");
+        let d = HmacDrbg::new(b"uniqueness", "seeds");
         let mut seen = HashSet::new();
         for _ in 0..10_000 {
             assert!(seen.insert(d.generate_seed16()), "seed collision");
@@ -180,50 +141,23 @@ mod tests {
     }
 
     #[test]
-    fn bulk_seeds_are_unique_within_and_across_batches() {
-        let mut d = HmacDrbg::new(b"uniqueness", b"bulk");
-        let mut seen = HashSet::new();
-        for batch_len in [0usize, 1, 2, 3, 32, 128] {
-            let seeds = d.generate_seeds16(batch_len);
-            assert_eq!(seeds.len(), batch_len);
-            for seed in seeds {
-                assert!(seen.insert(seed), "seed collision in bulk draw");
-            }
-        }
-        // Interleaving with single draws stays collision-free too.
-        for _ in 0..100 {
-            assert!(seen.insert(d.generate_seed16()));
-        }
-    }
-
-    #[test]
-    fn bulk_seeds_match_one_generate_request() {
-        // A bulk draw is exactly one generate(16n) request, so its bytes
-        // are reproducible by an identically-seeded instance.
-        let mut a = HmacDrbg::new(b"seed", b"x");
-        let mut b = HmacDrbg::new(b"seed", b"x");
-        let seeds = a.generate_seeds16(3);
-        let raw = b.generate(48);
-        for (i, seed) in seeds.iter().enumerate() {
-            assert_eq!(&raw[i * 16..(i + 1) * 16], seed);
-        }
-    }
-
-    #[test]
     fn debug_hides_state() {
-        let d = HmacDrbg::new(b"secret", b"");
+        let d = HmacDrbg::new(b"secret", "");
         assert_eq!(format!("{d:?}"), "HmacDrbg{..}");
     }
 
     /// A crude sanity check that output bits are balanced — not a randomness
-    /// proof, just a regression tripwire against e.g. returning zeros.
+    /// proof, just a regression tripwire against e.g. a seed that is the raw
+    /// counter or all zeros.
     #[test]
     fn output_bit_balance() {
-        let mut d = HmacDrbg::new(b"balance", b"");
-        let bytes = d.generate(4096);
-        let ones: u32 = bytes.iter().map(|b| b.count_ones()).sum();
-        let total = 4096 * 8;
-        let ratio = ones as f64 / total as f64;
+        let d = HmacDrbg::new(b"balance", "");
+        let ones: u32 = draws(&d, 256)
+            .iter()
+            .flatten()
+            .map(|b| b.count_ones())
+            .sum();
+        let ratio = f64::from(ones) / f64::from(256 * 8 * SEED16_LEN as u32);
         assert!((0.47..0.53).contains(&ratio), "bit ratio {ratio}");
     }
 }

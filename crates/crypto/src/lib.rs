@@ -14,7 +14,7 @@
 //!   blocks per round loop, written for autovectorization),
 //! - [`hmac`] — RFC 2104 / FIPS 198-1 HMAC-SHA-256,
 //! - [`hkdf`] — RFC 5869 HKDF-SHA-256 (extract / expand),
-//! - [`drbg`] — an HMAC-DRBG (SP 800-90A style) deterministic byte generator,
+//! - [`drbg`] — lock-free HMAC counter-mode puzzle seeds,
 //! - [`memmix`] — an Argon2-style memory-hard fill/mix arena (the work
 //!   function behind the memory-hard puzzle backend),
 //! - [`hex`] — hex encoding/decoding,
@@ -57,7 +57,6 @@ pub mod memmix;
 pub mod sha256;
 pub mod sha256_wide;
 
-pub use drbg::HmacDrbg;
 pub use hmac::{HmacKey, HmacSha256};
 pub use sha256::{hardware_sha_active, Digest, Sha224, Sha256};
 pub use sha256_wide::{auto_lanes, WideHasher, MAX_LANES};

@@ -6,13 +6,12 @@
 //! back to the client.”
 
 use crate::backend::{BackendId, BackendRegistry};
-use crate::challenge::{Challenge, CHALLENGE_VERSION, SEED_LEN};
+use crate::challenge::{Challenge, CHALLENGE_VERSION};
 use crate::difficulty::Difficulty;
 use crate::time::{SystemClock, TimeSource};
 use aipow_crypto::drbg::HmacDrbg;
 use aipow_crypto::hkdf;
 use aipow_crypto::hmac::HmacKey;
-use parking_lot::Mutex;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -23,12 +22,19 @@ pub const DEFAULT_TTL_MS: u64 = 30_000;
 
 /// The puzzle issuer.
 ///
-/// Challenges are minted with a unique 128-bit seed from an HMAC-DRBG and
-/// authenticated with a MAC key derived from the issuer's master key, so a
+/// Each challenge carries a 128-bit seed from a keyed counter
+/// ([`HmacDrbg`]): draw `n` is `HMAC(seed_key, n as big-endian u64)[..16]`,
+/// where `n` comes from one atomic increment, so seeds never repeat within
+/// an issuer and are unpredictable without `seed_key`. Challenges are authenticated with a
+/// MAC key derived from the issuer's master key, so a
 /// [`Verifier`](crate::Verifier) constructed from the same key can check
 /// solutions statelessly.
 ///
-/// The issuer is `Send + Sync`; one instance serves all connections.
+/// The counter starts at 0: two issuers built from one master key (or
+/// one issuer restarted under a stable key) draw the same seed stream.
+///
+/// The issuer is `Send + Sync` and takes no lock; one instance serves
+/// all connections.
 ///
 /// ```
 /// use aipow_pow::{Difficulty, Issuer};
@@ -45,11 +51,11 @@ pub struct Issuer {
     /// is tagged under the same key, so the schedule runs once here
     /// instead of once per issue.
     prepared_mac: HmacKey,
-    drbg: Mutex<HmacDrbg>,
+    /// The seed stream; a seed costs the two compressions of one short
+    /// HMAC.
+    seeds: HmacDrbg,
     ttl_ms: u64,
     clock: Arc<dyn TimeSource>,
-    /// Backends this issuer may mint challenges for.
-    registry: Arc<BackendRegistry>,
     /// Configured per-backend challenge parameters (the memory-hard arena
     /// MiB); backends not listed use their registry default.
     backend_params: Vec<(BackendId, u8)>,
@@ -59,9 +65,9 @@ impl Issuer {
     /// Creates an issuer from a 32-byte master key with the default TTL and
     /// system clock.
     ///
-    /// The MAC key and the seed-generation state are derived from the master
-    /// key with domain-separated HKDF labels, so the master key itself is
-    /// never used directly.
+    /// The MAC key and the seed key are derived from the master key with
+    /// domain-separated HKDF labels, so the master key itself is never
+    /// used directly.
     pub fn new(master_key: &[u8; 32]) -> Self {
         Self::with_clock(master_key, Arc::new(SystemClock))
     }
@@ -69,14 +75,14 @@ impl Issuer {
     /// Creates an issuer with an explicit time source (tests, simulation).
     pub fn with_clock(master_key: &[u8; 32], clock: Arc<dyn TimeSource>) -> Self {
         let mac_key = hkdf::derive_key32(master_key, "aipow/challenge-mac");
-        let seed_key = hkdf::derive_key32(master_key, "aipow/seed-drbg");
         Issuer {
             prepared_mac: HmacKey::new(&mac_key),
             mac_key,
-            drbg: Mutex::new(HmacDrbg::new(&seed_key, b"issuer-seeds")),
+            // The label predates counter-mode seeds; it keeps its name so
+            // the seed key is the one the same master key always derived.
+            seeds: HmacDrbg::new(master_key, "aipow/seed-drbg"),
             ttl_ms: DEFAULT_TTL_MS,
             clock,
-            registry: Arc::new(BackendRegistry::standard()),
             backend_params: Vec::new(),
         }
     }
@@ -85,13 +91,6 @@ impl Issuer {
     /// chaining.
     pub fn with_ttl_ms(mut self, ttl_ms: u64) -> Self {
         self.ttl_ms = ttl_ms;
-        self
-    }
-
-    /// Replaces the backend registry this issuer mints against (e.g. to
-    /// add an experimental backend).
-    pub fn with_backends(mut self, registry: Arc<BackendRegistry>) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -106,8 +105,7 @@ impl Issuer {
     /// (`FrameworkConfig::validate` in `aipow-core` does so with a typed
     /// error before the framework builder reaches this).
     pub fn with_backend_param(mut self, backend: BackendId, param: u8) -> Self {
-        let registered = self
-            .registry
+        let registered = BackendRegistry::global()
             .get(backend)
             // lint:allow(no-unwrap) configuration invariant: builder-time
             // misuse, panics before any request is served
@@ -155,12 +153,12 @@ impl Issuer {
     }
 
     /// Issues a challenge for an explicit puzzle backend with an explicit
-    /// timestamp.
+    /// timestamp: draws one seed, then builds and MACs the challenge.
     ///
     /// # Panics
     ///
-    /// Panics if `backend` is not registered with this issuer — routing to
-    /// an unknown backend is a server misconfiguration, not client input.
+    /// Panics if `backend` is not registered — routing to an unknown
+    /// backend is a server misconfiguration, not client input.
     pub fn issue_backend_at(
         &self,
         client_ip: IpAddr,
@@ -168,48 +166,34 @@ impl Issuer {
         backend: BackendId,
         now_ms: u64,
     ) -> Challenge {
-        let seed: [u8; SEED_LEN] = self.drbg.lock().generate_seed16();
-        self.issue_with_seed(client_ip, difficulty, backend, now_ms, seed)
+        let registered = BackendRegistry::global()
+            .get(backend)
+            // lint:allow(no-unwrap) routing invariant: only registered ids
+            // (the default route or a router vetted by config validation)
+            // reach the mint path
+            .unwrap_or_else(|| panic!("issuer routing: unknown backend {backend}"));
+        let unsigned = Challenge::from_parts_backend(
+            CHALLENGE_VERSION,
+            backend,
+            self.param_for(registered),
+            self.seeds.generate_seed16(),
+            now_ms,
+            self.ttl_ms,
+            difficulty,
+            client_ip,
+            [0u8; 32],
+        );
+        let tag = self.prepared_mac.mac(&unsigned.authenticated_bytes());
+        unsigned.with_tag(tag.into_bytes())
     }
 
-    /// Issues one challenge per `(client_ip, difficulty)` request, all
-    /// timestamped `now_ms`, taking the seed DRBG's lock **once** for the
-    /// whole batch (a bulk draw is also cheaper per seed than repeated
-    /// single draws — see [`HmacDrbg::generate_seeds16`]). The per-batch
-    /// savings are exactly the per-issue fixed costs: one lock handoff
-    /// and one DRBG state advance instead of one each per challenge; the
-    /// per-challenge MAC is inherent and stays.
+    /// Issues one SHA-256-backend challenge per `(client_ip, difficulty)`
+    /// request, all timestamped `now_ms`: exactly
+    /// [`issue_at`](Self::issue_at) for each request in order.
     pub fn issue_batch_at(&self, requests: &[(IpAddr, Difficulty)], now_ms: u64) -> Vec<Challenge> {
-        let seeds = self.drbg.lock().generate_seeds16(requests.len());
         requests
             .iter()
-            .zip(seeds)
-            .map(|(&(client_ip, difficulty), seed)| {
-                self.issue_with_seed(client_ip, difficulty, BackendId::SHA256, now_ms, seed)
-            })
-            .collect()
-    }
-
-    /// As [`issue_batch_at`](Self::issue_batch_at), but with a per-request
-    /// puzzle backend — the batch entry point the policy-routed pipeline
-    /// dispatches through (different clients in one drained batch may be
-    /// routed to different backends).
-    ///
-    /// # Panics
-    ///
-    /// As [`issue_backend_at`](Self::issue_backend_at) for unknown backends.
-    pub fn issue_batch_backend_at(
-        &self,
-        requests: &[(IpAddr, Difficulty, BackendId)],
-        now_ms: u64,
-    ) -> Vec<Challenge> {
-        let seeds = self.drbg.lock().generate_seeds16(requests.len());
-        requests
-            .iter()
-            .zip(seeds)
-            .map(|(&(client_ip, difficulty, backend), seed)| {
-                self.issue_with_seed(client_ip, difficulty, backend, now_ms, seed)
-            })
+            .map(|&(client_ip, difficulty)| self.issue_at(client_ip, difficulty, now_ms))
             .collect()
     }
 
@@ -221,38 +205,6 @@ impl Issuer {
             .find(|(id, _)| *id == backend.id())
             .map(|&(_, param)| param)
             .unwrap_or_else(|| backend.default_param())
-    }
-
-    /// The shared mint body: builds and MACs one challenge from an
-    /// already-drawn seed.
-    fn issue_with_seed(
-        &self,
-        client_ip: IpAddr,
-        difficulty: Difficulty,
-        backend: BackendId,
-        now_ms: u64,
-        seed: [u8; SEED_LEN],
-    ) -> Challenge {
-        let registered = self
-            .registry
-            .get(backend)
-            // lint:allow(no-unwrap) routing invariant: only ids from this
-            // issuer's own registry (the default route or a router vetted
-            // by config validation) reach the mint path
-            .unwrap_or_else(|| panic!("issuer routing: unknown backend {backend}"));
-        let unsigned = Challenge::from_parts_backend(
-            CHALLENGE_VERSION,
-            backend,
-            self.param_for(registered),
-            seed,
-            now_ms,
-            self.ttl_ms,
-            difficulty,
-            client_ip,
-            [0u8; 32],
-        );
-        let tag = self.prepared_mac.mac(&unsigned.authenticated_bytes());
-        unsigned.with_tag(tag.into_bytes())
     }
 }
 
@@ -268,6 +220,7 @@ impl core::fmt::Debug for Issuer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::challenge::SEED_LEN;
     use crate::time::ManualClock;
     use aipow_crypto::hmac::HmacSha256;
     use std::collections::HashSet;
@@ -333,9 +286,10 @@ mod tests {
             &ca.authenticated_bytes(),
             ca.tag()
         ));
-        // ...and their DRBGs start identically (same derivation), which is
-        // fine: seeds only need uniqueness per issuer instance. Deployments
-        // wanting cross-instance uniqueness feed distinct master keys.
+        // ...and their seed counters start identically (same key, counter
+        // 0), which is fine: seeds only need uniqueness per issuer
+        // instance. Deployments wanting cross-instance uniqueness feed
+        // distinct master keys.
         let cb = b.issue(ip(), Difficulty::ZERO);
         assert_eq!(ca.seed(), cb.seed());
     }
@@ -402,21 +356,63 @@ mod tests {
         assert_eq!(plain.backend_param(), 0);
     }
 
+    /// A batch is minted the way `IssueStage` mints it: one
+    /// `issue_backend_at` per request, each routed on its own.
     #[test]
     fn batch_backend_issuance_routes_per_request() {
         let issuer = Issuer::new(&[13u8; 32]);
-        let requests = vec![
+        let requests = [
             (ip(), Difficulty::ZERO, BackendId::SHA256),
             (ip(), Difficulty::new(2).unwrap(), BackendId::MEMORY_HARD),
         ];
-        let batch = issuer.issue_batch_backend_at(&requests, 5_000);
+        let batch: Vec<Challenge> = requests
+            .iter()
+            .map(|&(ip, d, backend)| issuer.issue_backend_at(ip, d, backend, 5_000))
+            .collect();
         assert_eq!(batch[0].backend(), BackendId::SHA256);
         assert_eq!(batch[1].backend(), BackendId::MEMORY_HARD);
+        assert_eq!(batch[1].difficulty(), Difficulty::new(2).unwrap());
         assert_eq!(
             batch[1].backend_param(),
             aipow_crypto::memmix::DEFAULT_ARENA_MIB,
             "unconfigured memory-hard issuance uses the backend default"
         );
+    }
+
+    /// Draw `n` is `HMAC(HKDF(master, "aipow/seed-drbg"), n_be8)[..16]`,
+    /// spelled out with the unprepared HMAC.
+    #[test]
+    fn seed_draw_n_is_the_counter_mode_known_answer() {
+        let master = [16u8; 32];
+        let issuer = Issuer::new(&master);
+        let seed_key = hkdf::derive_key32(&master, "aipow/seed-drbg");
+        for n in 0u64..5 {
+            let c = issuer.issue_at(ip(), Difficulty::ZERO, 1_000);
+            let want = HmacSha256::mac(&seed_key, &n.to_be_bytes());
+            assert_eq!(c.seed()[..], want.as_bytes()[..SEED_LEN], "draw {n}");
+        }
+    }
+
+    /// A batch of N is N single draws, in order: a fresh issuer from the
+    /// same key mints the same challenges one call at a time.
+    #[test]
+    fn batch_of_n_equals_n_single_draws_from_a_fresh_issuer() {
+        let other = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 77));
+        let requests: Vec<(IpAddr, Difficulty)> = (0..33u8)
+            .map(|i| {
+                (
+                    if i.is_multiple_of(3) { other } else { ip() },
+                    Difficulty::new(i % 9).unwrap(),
+                )
+            })
+            .collect();
+        let batched = Issuer::new(&[17u8; 32]).issue_batch_at(&requests, 4_000);
+        let single = Issuer::new(&[17u8; 32]);
+        let singles: Vec<Challenge> = requests
+            .iter()
+            .map(|&(ip, d)| single.issue_at(ip, d, 4_000))
+            .collect();
+        assert_eq!(batched, singles);
     }
 
     #[test]

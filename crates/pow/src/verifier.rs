@@ -38,8 +38,8 @@ pub enum VerifyError {
         /// Version found in the challenge.
         got: u8,
     },
-    /// The challenge names a puzzle backend this verifier has not
-    /// registered.
+    /// The challenge names a puzzle backend the process-wide registry
+    /// ([`BackendRegistry::global`]) does not know.
     UnknownBackend {
         /// Backend id found in the challenge.
         got: BackendId,
@@ -188,9 +188,6 @@ pub struct Verifier {
     clock: Arc<dyn TimeSource>,
     max_skew_ms: u64,
     difficulty_cap: Difficulty,
-    /// Puzzle backends this verifier accepts; challenges naming any other
-    /// id are rejected with [`VerifyError::UnknownBackend`].
-    registry: Arc<BackendRegistry>,
     /// Lane width for batched hash work (MACs and work digests) in
     /// [`PreparedVerify::verify_many`]: 1 forces the scalar path, 2–3
     /// stage the checks but hash on the scalar kernel, 4–8 select the
@@ -216,17 +213,8 @@ impl Verifier {
             clock,
             max_skew_ms: DEFAULT_MAX_SKEW_MS,
             difficulty_cap: Difficulty::saturating(40),
-            registry: Arc::new(BackendRegistry::standard()),
             verify_lanes: sha256_wide::auto_lanes(),
         }
-    }
-
-    /// Replaces the accepted puzzle-backend registry (defaults to the
-    /// standard registry: SHA-256 and memory-hard). Must cover every
-    /// backend the paired [`Issuer`](crate::Issuer) routes to.
-    pub fn with_backends(mut self, registry: Arc<BackendRegistry>) -> Self {
-        self.registry = registry;
-        self
     }
 
     /// Replaces the replay guard (e.g. to size its capacity).
@@ -479,13 +467,11 @@ impl<'a> PreparedVerify<'a> {
                 got: challenge.version(),
             });
         }
-        let backend =
-            self.verifier
-                .registry
-                .get(challenge.backend())
-                .ok_or(VerifyError::UnknownBackend {
-                    got: challenge.backend(),
-                })?;
+        let backend = BackendRegistry::global().get(challenge.backend()).ok_or(
+            VerifyError::UnknownBackend {
+                got: challenge.backend(),
+            },
+        )?;
         if solution.backend != challenge.backend() {
             return Err(VerifyError::BackendMismatch {
                 challenge: challenge.backend(),
@@ -617,20 +603,36 @@ mod tests {
 
     /// The client solves on the pinned portable kernel; the verifier MACs
     /// and digests on whatever `Sha256::new()` picked (SHA-NI where the CPU
-    /// has it). Every byte must agree: the fixed first challenge of `KEY`
+    /// has it). Every byte must agree: a fixed challenge under `KEY`
     /// carries the tag, and solves to the nonce and attempt count, that the
-    /// all-portable code produced before the hardware kernel existed.
+    /// all-portable code produced before the hardware kernel existed. Its
+    /// seed is a literal (the first seed `KEY`'s issuer drew before seeds
+    /// were counter-mode); the tag is recomputed under the issuer's key.
     #[test]
     fn portable_solver_output_verifies_on_the_default_kernel_unchanged() {
-        let (issuer, verifier, _, sol) = setup(12);
+        let clock = ManualClock::at(1_000_000);
+        let issuer = Issuer::with_clock(&KEY, Arc::new(clock.clone()));
+        let verifier = Verifier::with_clock(&KEY, Arc::new(clock));
+        let unsigned = Challenge::from_parts_backend(
+            CHALLENGE_VERSION,
+            BackendId::SHA256,
+            0,
+            0xdfa90221b179bc1fab795ef1f5d9a05f_u128.to_be_bytes(),
+            1_000_000,
+            crate::issuer::DEFAULT_TTL_MS,
+            Difficulty::new(12).unwrap(),
+            ip(),
+            [0u8; 32],
+        );
+        let tag = HmacKey::new(issuer.mac_key()).mac(&unsigned.authenticated_bytes());
+        let c = unsigned.with_tag(tag.into_bytes());
         assert_eq!(
-            aipow_crypto::hex::encode(sol.challenge.tag()),
+            aipow_crypto::hex::encode(c.tag()),
             "0a5384de1a3ba4c10b5b08f7d925ffc5f431b7b6929542bd134f74917da6255d"
         );
-        let c = sol.challenge.clone();
         let report = solver::solve(&c, ip(), &SolverOptions::default()).unwrap();
         assert_eq!((report.solution.nonce, report.attempts), (14216, 14217));
-        assert_eq!(report.solution, sol);
+        let sol = report.solution;
 
         let prepared = verifier.prepare_at(1_000_000);
         assert!(prepared.verify_one(&sol, ip()).is_ok());
@@ -646,6 +648,51 @@ mod tests {
             .prepare_at(1_000_000)
             .verify_many(&[(&sol, ip()), (&sol2, ip())]);
         assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+    }
+
+    /// DESIGN §3's restart semantics as behaviour: an issuer and verifier
+    /// rebuilt under the same key re-issue the old seeds and remember no
+    /// redemption, until the pre-restart challenges expire.
+    #[test]
+    fn a_restart_under_a_stable_key_replays_seeds_and_forgets_redemptions() {
+        let clock = ManualClock::at(1_000_000);
+        let boot = || {
+            (
+                Issuer::with_clock(&KEY, Arc::new(clock.clone())),
+                Verifier::with_clock(&KEY, Arc::new(clock.clone())),
+            )
+        };
+        let solve = |c: &Challenge, from: IpAddr| {
+            solver::solve(c, from, &SolverOptions::default())
+                .unwrap()
+                .solution
+        };
+        let other = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 11));
+        let (issuer, verifier) = boot();
+        let before = issuer.issue(ip(), Difficulty::new(4).unwrap());
+        let sol = solve(&before, ip());
+        verifier.verify(&sol, ip()).unwrap();
+        assert_eq!(verifier.verify(&sol, ip()), Err(VerifyError::Replayed));
+
+        let (issuer, verifier) = boot();
+        let reissued = issuer.issue(other, Difficulty::new(4).unwrap());
+        assert_eq!(reissued.seed(), before.seed());
+        // The pre-restart solution is accepted once more, which spends
+        // the re-issued seed: its new holder is refused as a replay.
+        verifier.verify(&sol, ip()).unwrap();
+        let sol_other = solve(&reissued, other);
+        assert_eq!(
+            verifier.verify(&sol_other, other),
+            Err(VerifyError::Replayed)
+        );
+
+        // One TTL on, a restarted verifier refuses the old solution.
+        clock.advance(crate::issuer::DEFAULT_TTL_MS + 1);
+        let (_, verifier) = boot();
+        assert!(matches!(
+            verifier.verify(&sol, ip()),
+            Err(VerifyError::Expired { .. })
+        ));
     }
 
     #[test]

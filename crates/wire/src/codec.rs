@@ -411,33 +411,45 @@ fn get_challenge(buf: &mut &[u8]) -> Result<Challenge, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aipow_pow::challenge::CHALLENGE_VERSION;
     use aipow_pow::{Difficulty, Issuer};
 
-    /// A fixed-clock issuer: its seeds come from a key-seeded DRBG, so
-    /// every challenge it mints is the same on every run (the golden
-    /// frames below depend on it).
-    fn sample_issuer() -> Issuer {
-        Issuer::with_clock(
-            &[5u8; 32],
-            std::sync::Arc::new(aipow_pow::ManualClock::at(1_700_000_000_000)),
+    /// A challenge as a `[5; 32]`-keyed issuer at a fixed clock minted it
+    /// before seeds were counter-mode: its first seed, and the tag over
+    /// each sample, are literals because the golden frames below pin the
+    /// wire format, not the issuer.
+    fn sample(backend: BackendId, param: u8, tag: [u8; 32]) -> Challenge {
+        Challenge::from_parts_backend(
+            CHALLENGE_VERSION,
+            backend,
+            param,
+            0x9f0e64c0ed3f06941bc1208465827adf_u128.to_be_bytes(),
+            1_700_000_000_000,
+            30_000,
+            Difficulty::new(7).unwrap(),
+            IpAddr::V4(Ipv4Addr::new(203, 0, 113, 9)),
+            tag,
         )
     }
 
     fn sample_challenge() -> Challenge {
-        sample_issuer().issue(
-            IpAddr::V4(Ipv4Addr::new(203, 0, 113, 9)),
-            Difficulty::new(7).unwrap(),
+        sample(
+            BackendId::SHA256,
+            0,
+            unhex32("535ecd7ec6f4786b66af872dd06562d5847b7204bcb8bfa79c3eebe464715f7c"),
         )
     }
 
     fn sample_memory_hard_challenge() -> Challenge {
-        sample_issuer()
-            .with_backend_param(BackendId::MEMORY_HARD, 2)
-            .issue_backend(
-                IpAddr::V4(Ipv4Addr::new(203, 0, 113, 9)),
-                Difficulty::new(7).unwrap(),
-                BackendId::MEMORY_HARD,
-            )
+        sample(
+            BackendId::MEMORY_HARD,
+            2,
+            unhex32("005556fc6252db346b5b46e318f022ecfae1b1820b3d8196ed07960084a8f1b8"),
+        )
+    }
+
+    fn unhex32(text: &str) -> [u8; 32] {
+        core::array::from_fn(|i| u8::from_str_radix(&text[2 * i..2 * i + 2], 16).unwrap())
     }
 
     fn all_messages() -> Vec<Message> {

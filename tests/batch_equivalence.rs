@@ -7,19 +7,20 @@
 //! consecutive same-kind runs of the schedule produces **exactly** the
 //! sequential path's
 //!
-//! - admission decisions (bypass flag, score, difficulty), in order;
+//! - admission decisions (bypass flag, score, difficulty, and the whole
+//!   issued challenge, seed and tag included), in order;
 //! - verification outcomes (tokens and error variants), in order;
 //! - per-client cost-ledger balances (and the population count);
 //! - audit records, in order, timestamps included;
 //! - pipeline counters (issued / bypassed / accepted / per-reason
 //!   rejections).
 //!
-//! Challenge seeds and solver nonces are *not* compared: seeds are
-//! random per framework instance by design, and every derived quantity
-//! that matters (difficulty, charge, audit text) is seed-independent.
-//! Both frameworks run on lockstep manual clocks, which realizes the
-//! documented batching invariant that a batch shares one clock reading —
-//! on a fixed clock the paths must be bit-equivalent.
+//! Seeds are compared too: both frameworks share a master key, and draw
+//! `n` of an issuer's seed stream is a keyed function of `n` alone, so
+//! the batch path must mint the sequential path's challenges byte for
+//! byte. Both frameworks run on lockstep manual clocks, which realizes
+//! the documented batching invariant that a batch shares one clock
+//! reading — on a fixed clock the paths must be bit-equivalent.
 
 use aipow::framework::{AdmissionDecision, Framework, FrameworkBuilder};
 use aipow::pow::solver::{self, SolverOptions};
@@ -136,13 +137,14 @@ struct ClientState {
     accepted: Vec<Solution>,
 }
 
-/// What one op resolved to, in comparable (seed-free) form.
+/// What one op resolved to, in comparable form.
 #[derive(Debug, Clone, PartialEq)]
 enum Observed {
     Decision {
         bypass: bool,
         score: f64,
         difficulty: Option<u8>,
+        challenge: Option<aipow::pow::Challenge>,
     },
     Outcome(Result<(IpAddr, u8, u64), VerifyError>),
     Skipped,
@@ -154,11 +156,13 @@ fn observe_decision(decision: &AdmissionDecision) -> Observed {
             bypass: true,
             score: score.value(),
             difficulty: None,
+            challenge: None,
         },
         AdmissionDecision::Challenge(issued) => Observed::Decision {
             bypass: false,
             score: issued.score.value(),
             difficulty: Some(issued.difficulty.bits()),
+            challenge: Some(issued.challenge.clone()),
         },
     }
 }
@@ -518,9 +522,9 @@ proptest! {
 use aipow::net::reactor::{dispatch_frames, FrameAssembler};
 use aipow::wire::Message;
 
-/// One frame of a pipelined burst (no solutions: their replies embed
-/// per-instance challenge seeds, covered seed-free by the schedule
-/// properties above; the wire property targets the framing layer).
+/// One frame of a pipelined burst (no solutions: the schedule properties
+/// above cover verification; the wire property targets the framing
+/// layer).
 #[derive(Debug, Clone)]
 enum WireOp {
     Ping(u64),
@@ -552,14 +556,15 @@ fn wire_op_message(op: &WireOp) -> Message {
     }
 }
 
-/// Seed-free view of a reply (challenge bytes are random per framework
-/// instance; everything decision-shaped is not).
+/// Comparable view of a reply. An issued challenge is compared whole,
+/// seed and tag included: identically built frameworks draw the same
+/// seed stream.
 fn observe_reply(reply: &Message) -> String {
     match reply {
         Message::Pong { token } => format!("pong {token}"),
         Message::Hello { version } => format!("hello {version}"),
         Message::ChallengeIssued { challenge, path } => {
-            format!("challenge {path} bits={}", challenge.difficulty().bits())
+            format!("challenge {path} {challenge:?}")
         }
         Message::ResourceGranted { path, body } => {
             format!("granted {path} len={}", body.len())

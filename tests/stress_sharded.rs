@@ -339,3 +339,50 @@ fn cost_ledger_flood_stays_bounded_and_keeps_heavy_hitters() {
         );
     }
 }
+
+/// The issuer's seed counter under contention: 8 threads × 10k draws,
+/// mixing single issues and batches of 1–8, never repeat a seed — and
+/// together they draw exactly the first 80k values of the stream, so no
+/// counter value is lost or taken twice.
+#[test]
+fn issuer_seed_draws_never_repeat_across_threads() {
+    use aipow::pow::{Difficulty, Issuer};
+    const KEY: [u8; 32] = [0x5e; 32];
+    let issuer = Issuer::new(&KEY);
+    let per_thread: Vec<Vec<[u8; 16]>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS as u32)
+            .map(|t| {
+                let issuer = &issuer;
+                scope.spawn(move || {
+                    let mut seeds = Vec::with_capacity(OPS);
+                    let mut i = 0u32;
+                    while seeds.len() < OPS {
+                        let batch = (1 + i as usize % 8).min(OPS - seeds.len());
+                        if i.is_multiple_of(2) {
+                            seeds.push(*issuer.issue_at(ip(t), Difficulty::ZERO, 0).seed());
+                        } else {
+                            let requests = vec![(ip(t), Difficulty::ZERO); batch];
+                            let minted = issuer.issue_batch_at(&requests, 0);
+                            seeds.extend(minted.iter().map(|c| *c.seed()));
+                        }
+                        i += 1;
+                    }
+                    seeds
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let mut seen = std::collections::HashSet::with_capacity(THREADS * OPS);
+    for seed in per_thread.into_iter().flatten() {
+        assert!(seen.insert(seed), "seed drawn twice");
+    }
+    let sequential = Issuer::new(&KEY);
+    let stream: std::collections::HashSet<[u8; 16]> = (0..THREADS * OPS)
+        .map(|_| *sequential.issue_at(ip(0), Difficulty::ZERO, 0).seed())
+        .collect();
+    assert_eq!(
+        seen, stream,
+        "the threads drew other than the first 80k seeds"
+    );
+}
