@@ -6,8 +6,9 @@
 //!
 //! - `admission_batch_seq` — N threads each driving `handle_request`
 //!   one request at a time (the sequential pipeline: every request pays
-//!   the clock reading, the policy read-lock, the seed-DRBG lock, the
-//!   audit shard lock, and the per-stage timers itself);
+//!   the clock reading, the policy read-lock, one relaxed `fetch_add` on
+//!   the seed counter, the audit shard lock, and the per-stage timers
+//!   itself);
 //! - `admission_batch` — the same request stream pushed through
 //!   `handle_request_batch` in groups of 1/8/32/128, which pays each of
 //!   those fixed costs once per group;

@@ -4,9 +4,14 @@
 //! would let an attacker amortize one solve over many requests. The guard
 //! remembers seeds until their challenge TTL has passed (after which the
 //! expiry check rejects them anyway) and bounds its memory with FIFO
-//! eviction. Each shard keeps a seed once, in a ring of 24-byte slots
-//! found through an index of 4-byte cells; both grow with the population,
-//! so a full guard costs 32 B per seed and an idle one nothing.
+//! eviction. Each shard keeps a seed's 64-bit keyed fingerprint once, in
+//! a ring of 16-byte slots found through an index of 8-byte cells that
+//! also carry the fingerprint's high half, so a probe reads the ring only
+//! on a tag match and deletion and growth read it never. Both grow with
+//! the population (the index stays at most ¾ full), so a full guard costs
+//! 32 B per seed and an idle one nothing. Two seeds with equal
+//! fingerprints are one seed to the guard: a fresh seed is refused as a
+//! replay with probability at most (seeds in its shard) ÷ 2^64.
 
 use crate::challenge::SEED_LEN;
 use aipow_shard::{default_shard_count, floor_shards, round_shards, Sharded};
@@ -26,7 +31,10 @@ pub const MAX_CAPACITY: usize = (1 << 31) - 1;
 /// eviction bound for no contention win.
 const MIN_SHARD_CAPACITY: usize = 1024;
 
-/// An index cell is 0 when empty, else `OCCUPIED | seq` of a ring slot.
+/// An index cell is 0 when empty, else `tag << 32 | OCCUPIED | seq`: the
+/// high half of the slot's fingerprint over the ring slot's sequence
+/// number. A cell's home is `tag & mask`, so placing a cell needs only
+/// the cell.
 const OCCUPIED: u32 = 1 << 31;
 const SEQ_MASK: u32 = OCCUPIED - 1;
 
@@ -57,10 +65,13 @@ pub struct ReplayGuard {
     evicted_live: AtomicU64,
 }
 
-/// One remembered redemption, `(seed, expiry ms)`: the only copy of its
-/// seed. Entries past expiry are semantically absent.
-type Slot = ([u8; SEED_LEN], u64);
+/// One remembered redemption, `(fingerprint, expiry ms)`: the seed's keyed
+/// hash stands for the seed, which is not kept. Entries past expiry are
+/// semantically absent.
+type Slot = (u64, u64);
 
+/// One shard: a FIFO ring of `(fingerprint, expiry)` slots and a
+/// linear-probing index of tagged cells naming the live ones.
 #[derive(Debug, Default)]
 struct Inner {
     /// Slots in insertion order (the FIFO); a slot whose seed was since
@@ -70,13 +81,14 @@ struct Inner {
     /// 2^31, so popping the front renumbers nothing.
     front_seq: u32,
     /// Linear-probing index naming each remembered seed's live slot; at
-    /// most half full, deletion shifts back (no tombstones).
-    index: Vec<u32>,
+    /// most ¾ full, deletion shifts back (no tombstones).
+    index: Vec<u64>,
     /// Occupied index cells: the seeds this shard remembers.
     live: usize,
     capacity: usize,
     /// Keyed per shard, like the shard selector: a client choosing which
-    /// of its seeds to redeem cannot aim them all at one probe run.
+    /// of its seeds to redeem cannot aim them all at one probe run, nor
+    /// pick two with equal fingerprints.
     hasher: RandomState,
 }
 
@@ -135,10 +147,8 @@ impl ReplayGuard {
         self.shards.with_key(seed, |inner| {
             inner.sweep_expired(now_ms);
 
-            let hash = inner.hasher.hash_one(seed);
-            let remembered = inner
-                .probe(seed, hash)
-                .map(|i| inner.slot(inner.index[i]).1);
+            let fp = inner.hasher.hash_one(seed);
+            let remembered = inner.probe(fp).map(|i| inner.slot(inner.index[i]).1);
             if remembered.is_ok_and(|expiry| expiry >= now_ms) {
                 return false;
             }
@@ -148,7 +158,7 @@ impl ReplayGuard {
                 // shard lock
                 self.evicted_live.fetch_add(1, Ordering::Relaxed);
             }
-            inner.insert(seed, hash, expires_at_ms);
+            inner.insert(fp, expires_at_ms);
             true
         })
     }
@@ -164,12 +174,12 @@ impl ReplayGuard {
         self.len() == 0
     }
 
-    /// Heap bytes held for remembered seeds: ring capacity × 24 plus
-    /// index cells × 4, summed locking one shard at a time (for metrics,
+    /// Heap bytes held for remembered seeds: ring capacity × 16 plus
+    /// index cells × 8, summed locking one shard at a time (for metrics,
     /// never on the admission path).
     pub fn heap_bytes(&self) -> usize {
         self.shards
-            .fold(0, |acc, s| acc + s.ring.capacity() * 24 + s.index.len() * 4)
+            .fold(0, |acc, s| acc + s.ring.capacity() * 16 + s.index.len() * 8)
     }
 
     /// Number of *live* (unexpired) entries evicted due to the capacity
@@ -192,17 +202,19 @@ impl Default for ReplayGuard {
 
 impl Inner {
     /// The ring slot an occupied index cell names.
-    fn slot(&self, cell: u32) -> &Slot {
-        &self.ring[(cell.wrapping_sub(self.front_seq) & SEQ_MASK) as usize]
+    fn slot(&self, cell: u64) -> &Slot {
+        &self.ring[((cell as u32).wrapping_sub(self.front_seq) & SEQ_MASK) as usize]
     }
 
-    /// `Ok` with the index cell naming `seed`'s live slot, or `Err` with
-    /// the empty cell ending its probe run (0 while the index is unallocated).
-    fn probe(&self, seed: &[u8; SEED_LEN], hash: u64) -> Result<usize, usize> {
+    /// `Ok` with the index cell naming fingerprint `fp`'s live slot, or
+    /// `Err` with the empty cell ending its probe run (0 while the index is
+    /// unallocated). Reads the ring only for cells whose tag matches.
+    fn probe(&self, fp: u64) -> Result<usize, usize> {
         let mask = self.index.len().checked_sub(1).ok_or(0usize)?;
-        let mut i = hash as usize & mask;
+        let tag = fp >> 32;
+        let mut i = tag as usize & mask;
         while self.index[i] != 0 {
-            if self.slot(self.index[i]).0 == *seed {
+            if self.index[i] >> 32 == tag && self.slot(self.index[i]).0 == fp {
                 return Ok(i);
             }
             i = (i + 1) & mask;
@@ -210,26 +222,31 @@ impl Inner {
         Err(i)
     }
 
-    /// Appends a slot for `seed` and points the index at it; the slot it
-    /// named for `seed` before, if any (an expired one), becomes dead.
-    fn insert(&mut self, seed: &[u8; SEED_LEN], hash: u64, expiry: u64) {
-        if (self.live + 1) * 2 > self.index.len() {
+    /// Appends a slot for `fp` and points the index at it; the slot it
+    /// named for `fp` before, if any (an expired one), becomes dead.
+    fn insert(&mut self, fp: u64, expiry: u64) {
+        if (self.live + 1) * 4 > self.index.len() * 3 {
             self.grow();
         }
-        let found = self.probe(seed, hash);
+        let found = self.probe(fp);
         self.live += usize::from(found.is_err());
         let (Ok(i) | Err(i)) = found;
-        self.index[i] = OCCUPIED | (self.front_seq.wrapping_add(self.ring.len() as u32) & SEQ_MASK);
-        self.ring.push_back((*seed, expiry));
+        let seq = self.front_seq.wrapping_add(self.ring.len() as u32) & SEQ_MASK;
+        self.index[i] = (fp >> 32 << 32) | u64::from(OCCUPIED | seq);
+        self.ring.push_back((fp, expiry));
     }
 
-    /// Doubles the index (allocating it on first use), re-placing every cell.
+    /// Doubles the index (allocating it on first use), re-placing every
+    /// cell from its own tag.
     fn grow(&mut self) {
         let cells = vec![0; (self.index.len() * 2).max(8)];
         let old = std::mem::replace(&mut self.index, cells);
+        let mask = self.index.len() - 1;
         for cell in old.into_iter().filter(|&cell| cell != 0) {
-            let seed = self.slot(cell).0;
-            let (Ok(i) | Err(i)) = self.probe(&seed, self.hasher.hash_one(seed));
+            let mut i = (cell >> 32) as usize & mask;
+            while self.index[i] != 0 {
+                i = (i + 1) & mask;
+            }
             self.index[i] = cell;
         }
     }
@@ -241,7 +258,7 @@ impl Inner {
         let mut i = (hole + 1) & mask;
         while self.index[i] != 0 {
             // A cell may fill the hole unless its home lies in (hole, i].
-            let home = self.hasher.hash_one(self.slot(self.index[i]).0) as usize & mask;
+            let home = (self.index[i] >> 32) as usize & mask;
             if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
                 self.index[hole] = self.index[i];
                 hole = i;
@@ -252,13 +269,16 @@ impl Inner {
         self.live -= 1;
     }
 
-    /// Pops the oldest slot, forgetting its seed if the index holds that
-    /// seed at this slot's expiry (by expiry, as the map the index
-    /// replaced compared). Returns the expiry and whether it forgot.
+    /// Pops the oldest slot, forgetting its seed if the index names a slot
+    /// of that seed at this slot's expiry: this slot, or a re-insert at an
+    /// equal expiry (by expiry, as the map the index replaced compared).
+    /// Returns the expiry and whether it forgot.
     fn pop_front(&mut self) -> Option<(u64, bool)> {
-        let (seed, expiry) = *self.ring.front()?;
-        let live = self.probe(&seed, self.hasher.hash_one(seed)).ok();
-        let live = live.filter(|&i| self.slot(self.index[i]).1 == expiry);
+        let (fp, expiry) = *self.ring.front()?;
+        let live = self
+            .probe(fp)
+            .ok()
+            .filter(|&i| self.slot(self.index[i]).1 == expiry);
         if let Some(i) = live {
             self.remove(i);
         }
@@ -472,8 +492,9 @@ mod tests {
             assert!(g.check_and_insert(&seed(i), u64::MAX, 0));
         }
         assert_eq!(g.len(), capacity);
-        // 24-byte slot + two 4-byte index cells per seed, plus slack of
-        // one cache line per shard.
+        // 16-byte slot + two 8-byte index cells per seed (2^13 seeds
+        // per shard end in 2^14 cells: the index doubles past ¾ of 2^13),
+        // plus slack of one cache line per shard.
         let bound = 32 * capacity + 64 * g.shard_count();
         assert!(g.heap_bytes() <= bound, "{} > {bound}", g.heap_bytes());
     }
@@ -535,6 +556,33 @@ mod tests {
         g
     }
 
+    impl Inner {
+        /// Panics unless the index is what every operation must leave:
+        /// `live` occupied cells, at most ¾ of the index, each reachable
+        /// from its home without crossing an empty cell and tagged with
+        /// its slot's fingerprint, and no two naming the same slot.
+        fn assert_consistent(&self) {
+            let mask = self.index.len().wrapping_sub(1);
+            let mut slots = std::collections::HashSet::new();
+            for (i, &cell) in self.index.iter().enumerate().filter(|&(_, &c)| c != 0) {
+                let home = (cell >> 32) as usize & mask;
+                let run = (i.wrapping_sub(home) & mask) + 1;
+                assert!(
+                    (0..run).all(|k| self.index[(home + k) & mask] != 0),
+                    "cell {i} is not reachable from its home {home}"
+                );
+                assert_eq!(cell >> 32, self.slot(cell).0 >> 32, "tag of cell {i}");
+                assert!(
+                    slots.insert(cell as u32),
+                    "two cells name slot {}",
+                    cell as u32
+                );
+            }
+            assert_eq!(slots.len(), self.live, "occupied cells");
+            assert!(self.live * 4 <= self.index.len() * 3, "index over ¾ full");
+        }
+    }
+
     /// Runs `ops` — (seed, ttl, clock step) — against `g` and the oracle
     /// in lock-step. Expiries may lie up to 4 ms in the past, so expired
     /// re-inserts at an equal expiry occur too.
@@ -542,6 +590,27 @@ mod tests {
         g: &ReplayGuard,
         capacity: usize,
         ops: &[(u64, u64, u64)],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut now = 0u64;
+        let calls = ops.iter().map(|&(s, ttl, step)| {
+            now += step;
+            (
+                s % (capacity as u64 + 4),
+                (now + ttl).saturating_sub(4),
+                now,
+            )
+        });
+        lockstep(g, capacity, calls)
+    }
+
+    /// Makes each call — (seed, expiry, clock) — on `g` and on one oracle
+    /// per shard, comparing the return value, `len()` and
+    /// `live_evictions()` after every call, and every shard's structure
+    /// every 256 calls and at the end.
+    fn lockstep(
+        g: &ReplayGuard,
+        capacity: usize,
+        calls: impl IntoIterator<Item = (u64, u64, u64)>,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         use proptest::prelude::*;
         let per_shard = capacity.div_ceil(g.shard_count());
@@ -552,18 +621,83 @@ mod tests {
                 capacity: per_shard,
             })
             .collect();
-        let (mut now, mut evicted) = (0u64, 0u64);
-        for &(s, ttl, step) in ops {
-            now += step;
-            let s = seed(s % (capacity as u64 + 4));
-            let expires = (now + ttl).saturating_sub(4);
+        let mut evicted = 0u64;
+        for (n, (s, expires, now)) in calls.into_iter().enumerate() {
+            let s = seed(s);
             let (fresh, live) = oracle[g.shards.shard_index(&s)].check_and_insert(s, expires, now);
             evicted += u64::from(live);
             prop_assert_eq!(g.check_and_insert(&s, expires, now), fresh);
             prop_assert_eq!(g.len(), oracle.iter().map(|o| o.seen.len()).sum::<usize>());
             prop_assert_eq!(g.live_evictions(), evicted);
+            if n % 256 == 255 {
+                g.shards.for_each_shard(|s| s.assert_consistent());
+            }
         }
+        g.shards.for_each_shard(|s| s.assert_consistent());
         Ok(())
+    }
+
+    /// `n` calls — (seed, expiry, clock) — from a fixed splitmix64 stream:
+    /// ~55 % fresh seeds, ~25 % replays of recent seeds, ~20 % re-inserts
+    /// of a recent seed at the expiry it was last given (in the past once
+    /// that has passed). Seven in ten TTLs outlive several clock jumps, so
+    /// 8 × 512 slots saturate and evict live seeds; the rest expire within
+    /// 100 ms, behind them in the FIFO. The clock moves 0–2 ms per call
+    /// and, once in ~2 500 calls, 25 s, expiring whole runs of slots.
+    fn saturation_calls(n: usize) -> Vec<(u64, u64, u64)> {
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let (mut now, mut given) = (0u64, Vec::<u64>::new());
+        let mut calls = Vec::with_capacity(n);
+        for _ in 0..n {
+            now += if next(2_500) == 0 { 25_000 } else { next(3) };
+            let ttl = if next(10) < 7 {
+                60_000 + next(340_000)
+            } else {
+                next(100)
+            };
+            let recent = |r: u64| given.len() as u64 - 1 - r % (given.len() as u64).min(6_000);
+            let call = match next(100) {
+                _ if given.is_empty() => (0, now + ttl),
+                0..=54 => (given.len() as u64, now + ttl),
+                55..=79 => (recent(next(u64::MAX)), now + ttl),
+                _ => {
+                    let s = recent(next(u64::MAX));
+                    (s, given[s as usize])
+                }
+            };
+            if call.0 == given.len() as u64 {
+                given.push(call.1);
+            } else {
+                given[call.0 as usize] = call.1;
+            }
+            calls.push((call.0, call.1, now));
+        }
+        calls
+    }
+
+    /// The guard against the oracle at saturation scale, 8 shards of 512
+    /// slots over ~20 000 calls, from sequence 0 and across the 2^31 wrap.
+    #[test]
+    fn matches_the_oracle_at_saturation_scale() {
+        let calls = saturation_calls(20_000);
+        let g = ReplayGuard::with_shards(4_096, 8);
+        lockstep(&g, 4_096, calls.iter().copied()).unwrap();
+        assert!(
+            g.live_evictions() > 1_000,
+            "{} live evictions",
+            g.live_evictions()
+        );
+        let start = SEQ_MASK - 2;
+        let g = starting_at(4_096, 8, start);
+        lockstep(&g, 4_096, calls.iter().copied()).unwrap();
+        assert!(g.shards.fold(true, |all, s| all && s.front_seq < start));
     }
 
     mod prop {

@@ -8,11 +8,13 @@
 //! Redeems distinct seeds into `ReplayGuard::default()` at 180 accepts
 //! per simulated millisecond with a 30 s TTL — fast enough that nothing
 //! expires before the guard is full — up to three times its capacity, and
-//! prints, at 10 k, 100 k, 1 Mi and 3 Mi redemptions: the guard's own
-//! `heap_bytes()` per remembered seed, the growth of the process's peak
-//! resident set (`VmHWM`, Linux only) per remembered seed, and the mean
-//! cost of the inserts since the previous row. Exits 1 if the saturated
-//! guard holds more than 32.5 bytes per slot of capacity.
+//! prints, at 10 k, 100 k, 400 k, 530 k, 800 k, 1 Mi and 3 Mi redemptions:
+//! the guard's own `heap_bytes()` per remembered seed, the growth of the
+//! process's peak resident set (`VmHWM`, Linux only) per remembered seed,
+//! and the mean cost of the inserts since the previous row. The index
+//! doubles once its shards pass ¾ full, at ~393 k and ~786 k seeds, so
+//! 400 k and 800 k land just past a step and 530 k between them. Exits 1
+//! if the saturated guard holds more than 32.5 bytes per slot of capacity.
 
 use aipow::pow::replay::{ReplayGuard, DEFAULT_CAPACITY};
 use std::process::ExitCode;
@@ -56,7 +58,15 @@ fn main() -> ExitCode {
 
     let hwm_start = vm_hwm_bytes();
     let mut done = 0u64;
-    for checkpoint in [10_000, 100_000, capacity, 3 * capacity] {
+    for checkpoint in [
+        10_000,
+        100_000,
+        400_000,
+        530_000,
+        800_000,
+        capacity,
+        3 * capacity,
+    ] {
         let start = Instant::now();
         for i in done..checkpoint {
             let now = i / INSERTS_PER_MS;

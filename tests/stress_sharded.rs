@@ -130,6 +130,30 @@ fn replay_guard_eviction_bound_holds_under_contention() {
     assert_eq!(guard.live_evictions(), (THREADS * OPS - guard.len()) as u64);
 }
 
+/// Every insert into full shards evicts: 160k distinct live seeds through
+/// 8 shards of 512 slots must each be accepted, fill every shard exactly,
+/// and count every other seed as a live eviction.
+#[test]
+fn replay_guard_evicts_exactly_at_saturation_under_contention() {
+    const CAPACITY: usize = 4_096;
+    const SEEDS: usize = 20_000;
+    let guard = Arc::new(ReplayGuard::with_shards(CAPACITY, 8));
+    std::thread::scope(|scope| {
+        for t in 0..THREADS as u64 {
+            let guard = Arc::clone(&guard);
+            scope.spawn(move || {
+                for i in 0..SEEDS as u64 {
+                    let mut seed = [0u8; 16];
+                    seed[..8].copy_from_slice(&(t * SEEDS as u64 + i).to_be_bytes());
+                    assert!(guard.check_and_insert(&seed, u64::MAX, 0));
+                }
+            });
+        }
+    });
+    assert_eq!(guard.len(), CAPACITY);
+    assert_eq!(guard.live_evictions(), (THREADS * SEEDS - CAPACITY) as u64);
+}
+
 /// All threads draining one hot bucket must be granted exactly the burst
 /// capacity — sharding must not let racing refills mint extra tokens.
 #[test]
