@@ -10,13 +10,12 @@ use aipow_policy::registry;
 use aipow_pow::Difficulty;
 use aipow_trace::TraceConfig;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Default ceiling on the group size the batch entry points process per
 /// pipeline pass (see [`FrameworkConfig::max_batch`]).
 pub const DEFAULT_MAX_BATCH: usize = 32;
 
-/// Serializable framework settings; every field is checked by
+/// Framework settings; every field is checked by
 /// [`validate`](Self::validate), which the builder runs before it builds.
 ///
 /// ```
@@ -34,8 +33,7 @@ pub const DEFAULT_MAX_BATCH: usize = 32;
 /// assert_eq!(framework.policy_name(), "policy3");
 /// # Ok::<(), aipow_core::BuildError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameworkConfig {
     /// Policy spec: a registry shorthand (`policy1`, `policy3:eps=2.0`) or
     /// DSL source (see [`aipow_policy::dsl`]).
@@ -114,10 +112,9 @@ pub struct FrameworkConfig {
 /// and clock), so these settings are not part of [`FrameworkConfig`]:
 /// set `aipow_net::ServerConfig::online`, or pass them to
 /// `aipow_online::OnlineLoop::attach`. They live in this crate so that
-/// both can carry them as serializable data without `aipow-core`
-/// depending on the online crate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+/// both can carry them as plain data without `aipow-core` depending on
+/// the online crate.
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineSettings {
     /// Maximum clients the behavior recorder tracks. Enforced per shard
     /// (`capacity / shard_count` each): a full shard evicts its

@@ -11,10 +11,9 @@
 
 use crate::framework::Framework;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// What the controller publishes each tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadSignal {
     /// Smoothed load: EWMA arrival rate / capacity, clamped to `[0, 1]`.
     pub load: f64,

@@ -1,9 +1,8 @@
 //! Telemetry exposition: rendering a [`MetricsSnapshot`] as JSON and as
 //! Prometheus text format.
 //!
-//! Both renderers are hand-rolled — the workspace's vendored `serde` is
-//! derive-only (no JSON backend), and the exposition formats are small
-//! enough that a dependency would cost more than it saves. Every scalar
+//! Both renderers are hand-rolled: the exposition formats are small
+//! enough that a serialization dependency would cost more than it saves. Every scalar
 //! comes from the one table in [`crate::metrics::SCALAR_METRICS`]; only
 //! the two labelled families (per-reason rejections, per-stage timings)
 //! are written out here. Output is deterministic: map-backed sections

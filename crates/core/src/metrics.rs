@@ -3,7 +3,6 @@
 use crate::sync::{AtomicU64, Ordering};
 use aipow_metrics::{AtomicHistogram, Counter, Gauge};
 use aipow_pow::VerifyError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The verifier's stable rejection labels — one per [`VerifyError`]
@@ -178,7 +177,7 @@ impl StageTimers {
 
 /// One pipeline stage's accumulated latency, as reported in
 /// [`MetricsSnapshot::stage_timings`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
     /// Stage name (one of [`STAGE_NAMES`]).
     pub stage: String,
@@ -299,8 +298,8 @@ macro_rules! scalar_metrics {
             rate_window: RateWindow,
         }
 
-        /// A serializable point-in-time view of [`FrameworkMetrics`].
-        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        /// A point-in-time view of [`FrameworkMetrics`].
+        #[derive(Debug, Clone, PartialEq)]
         pub struct MetricsSnapshot {
             $($(#[$live_doc])* pub $live: u64,)*
             $($(#[$doc])* pub $derived: $ty,)*

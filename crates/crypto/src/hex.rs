@@ -1,7 +1,7 @@
 //! Minimal hex encoding/decoding.
 //!
-//! Used for digest display, challenge serialization in human-readable
-//! transcripts, and test vectors.
+//! Used for digest display, challenge ids, the CLI's `--key` flag, and test
+//! vectors.
 
 use core::fmt;
 

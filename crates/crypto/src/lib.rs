@@ -7,7 +7,7 @@
 //! stateless. This crate provides exactly that substrate, implemented from
 //! scratch and validated against the official test vectors:
 //!
-//! - [`sha256`] — FIPS 180-4 SHA-256 and SHA-224 (streaming and one-shot),
+//! - [`sha256`] — FIPS 180-4 SHA-256 (streaming and one-shot),
 //!   compressing on the x86-64 SHA extensions where the CPU has them
 //!   ([`hardware_sha_active`]) and on the portable rounds everywhere else,
 //! - [`sha256_wide`] — lane-interleaved multi-buffer SHA-256 (4/8 independent
@@ -58,5 +58,5 @@ pub mod sha256;
 pub mod sha256_wide;
 
 pub use hmac::{HmacKey, HmacSha256};
-pub use sha256::{hardware_sha_active, Digest, Sha224, Sha256};
+pub use sha256::{hardware_sha_active, Digest, Sha256};
 pub use sha256_wide::{auto_lanes, WideHasher, MAX_LANES};

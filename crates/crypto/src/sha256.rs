@@ -1,9 +1,8 @@
-//! FIPS 180-4 SHA-256 and SHA-224.
+//! FIPS 180-4 SHA-256.
 //!
 //! Both a streaming API ([`Sha256::new`] / [`update`](Sha256::update) /
 //! [`finalize`](Sha256::finalize)) and a one-shot API ([`Sha256::digest`])
-//! are provided. SHA-224 shares the compression function and differs only in
-//! its initial state and truncated output.
+//! are provided.
 //!
 //! The [`Digest`] type wraps the 32-byte output and offers the helpers the
 //! proof-of-work layer needs, most importantly
@@ -91,18 +90,6 @@ pub(crate) const H256: [u32; 8] = [
     0x9b05_688c,
     0x1f83_d9ab,
     0x5be0_cd19,
-];
-
-/// SHA-224 initial hash value (FIPS 180-4 §5.3.2).
-const H224: [u32; 8] = [
-    0xc105_9ed8,
-    0x367c_d507,
-    0x3070_dd17,
-    0xf70e_5939,
-    0xffc0_0b31,
-    0x6858_1511,
-    0x64f9_8fa7,
-    0xbefa_4fa4,
 ];
 
 /// A 32-byte SHA-256 digest.
@@ -343,57 +330,6 @@ impl Sha256 {
     }
 }
 
-/// Streaming SHA-224 hasher (FIPS 180-4): same compression as SHA-256 with a
-/// distinct IV and output truncated to 28 bytes.
-///
-/// ```
-/// use aipow_crypto::sha256::Sha224;
-/// let d = Sha224::digest(b"abc");
-/// assert_eq!(
-///     aipow_crypto::hex::encode(&d),
-///     "23097d223405d8228642a477bda255b32aadbce4bda0b3f7e36c9da7"
-/// );
-/// ```
-#[derive(Clone)]
-pub struct Sha224 {
-    inner: Sha256,
-}
-
-impl Default for Sha224 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha224 {
-    /// Creates a fresh SHA-224 hasher.
-    pub fn new() -> Self {
-        let mut inner = Sha256::new();
-        inner.state = H224;
-        Sha224 { inner }
-    }
-
-    /// One-shot convenience: hash `data` and return the 28-byte digest.
-    pub fn digest(data: &[u8]) -> [u8; 28] {
-        let mut h = Self::new();
-        h.update(data);
-        h.finalize()
-    }
-
-    /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
-        self.inner.update(data);
-    }
-
-    /// Completes the hash, consuming the hasher.
-    pub fn finalize(self) -> [u8; 28] {
-        let full = self.inner.finalize();
-        full.0[..28]
-            .try_into()
-            .expect("digest-length invariant: 28 <= 32")
-    }
-}
-
 /// One compression through the kernel the calling hasher holds.
 #[allow(unsafe_code)]
 fn compress(hardware: bool, state: &mut [u32; 8], block: &[u8; 64]) {
@@ -623,24 +559,6 @@ mod tests {
                 assert_eq!(wide.finalize(), [reference; 4], "{kernel} wide {len}");
             }
         }
-    }
-
-    #[test]
-    fn sha224_nist_vectors() {
-        assert_eq!(
-            crate::hex::encode(&Sha224::digest(b"abc")),
-            "23097d223405d8228642a477bda255b32aadbce4bda0b3f7e36c9da7"
-        );
-        assert_eq!(
-            crate::hex::encode(&Sha224::digest(b"")),
-            "d14a028c2a3a2bc9476102bb288234c415a2b01f828ea62ac5b3e42f"
-        );
-        assert_eq!(
-            crate::hex::encode(&Sha224::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "75388b16512776cc5dba5da1fd890150b0c6455cb4f58b1952522525"
-        );
     }
 
     /// Streaming must agree with one-shot regardless of chunk boundaries.

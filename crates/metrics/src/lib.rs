@@ -12,10 +12,8 @@
 //! - [`OnlineStats`] — numerically stable streaming mean/variance
 //!   (Welford),
 //! - [`Counter`] / [`Gauge`] — atomics for the server fast path,
-//! - [`TimeSeries`] — timestamped samples with windowed binning for
-//!   throughput-over-time plots,
-//! - [`Summary`] — a serializable statistical digest used by every
-//!   experiment report.
+//! - [`Summary`] — a statistical digest used by every experiment report,
+//!   written as CSV.
 //!
 //! # Example
 //!
@@ -36,12 +34,10 @@ pub mod counter;
 pub mod histogram;
 pub mod sample;
 pub mod summary;
-pub mod timeseries;
 pub mod welford;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::{AtomicHistogram, Histogram};
 pub use sample::TrialSet;
 pub use summary::Summary;
-pub use timeseries::TimeSeries;
 pub use welford::OnlineStats;

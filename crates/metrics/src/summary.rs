@@ -1,12 +1,10 @@
-//! Serializable statistical digests for experiment reports.
-
-use serde::{Deserialize, Serialize};
+//! Statistical digests for experiment reports.
 
 /// A statistical digest of a set of observations.
 ///
 /// Every experiment in EXPERIMENTS.md reports its measurements as one or
-/// more `Summary` rows; the struct is `serde`-serializable so the reproduce
-/// binary can persist results.
+/// more `Summary` rows, and the reproduce binary writes them as CSV through
+/// [`Summary::to_csv_fields`].
 ///
 /// ```
 /// use aipow_metrics::Summary;
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.count, 3);
 /// assert_eq!(s.median, 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

@@ -39,12 +39,11 @@ use aipow_pow::solver::{self, SolverOptions};
 use aipow_pow::{BackendId, Challenge, Difficulty, Issuer, Solution};
 use aipow_reputation::model::ReputationModel;
 use aipow_reputation::{FeatureVector, ReputationScore};
-use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr};
 use std::time::Instant;
 
 /// Parameters for the backend-routing run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendsConfig {
     /// Benign clients cycling through the schedule.
     pub benign_clients: usize,
@@ -83,7 +82,7 @@ impl Default for BackendsConfig {
 }
 
 /// The measured outcome of one backend-routing run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendsReport {
     /// Benign challenges issued by the routed framework on SHA-256.
     pub benign_sha_challenges: usize,

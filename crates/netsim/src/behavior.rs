@@ -35,7 +35,6 @@ use aipow_policy::LinearPolicy;
 use aipow_pow::{ManualClock, TimeSource};
 use aipow_reputation::baseline::BlocklistHeuristic;
 use aipow_reputation::{FeatureVector, ReputationModel};
-use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
@@ -46,7 +45,7 @@ pub fn residential_prior() -> FeatureVector {
 }
 
 /// Parameters shared by both online scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BehaviorConfig {
     /// Benign request rate, requests/second.
     pub benign_rps: f64,
@@ -87,7 +86,7 @@ impl Default for BehaviorConfig {
 }
 
 /// One sampled point of a client's trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
     /// Sample instant, ms from scenario start.
     pub t_ms: u64,
@@ -98,7 +97,7 @@ pub struct TrajectoryPoint {
 }
 
 /// Outcome of the behavior-shift scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BehaviorShiftOutcome {
     /// Difficulty issued to the shifting client on its last benign-phase
     /// request.
@@ -121,7 +120,7 @@ pub struct BehaviorShiftOutcome {
 }
 
 /// Outcome of the redemption scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RedemptionOutcome {
     /// The flooder's score at the end of the attack.
     pub peak_score: f64,

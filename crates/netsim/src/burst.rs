@@ -24,7 +24,6 @@
 use aipow_core::{AdmissionDecision, Framework, FrameworkBuilder, FrameworkConfig};
 use aipow_policy::LinearPolicy;
 use aipow_reputation::{FeatureVector, ReputationModel, ReputationScore};
-use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr};
 use std::time::Instant;
 
@@ -44,7 +43,7 @@ impl ReputationModel for Lane0Model {
 }
 
 /// Parameters for the burst measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstConfig {
     /// Pipelined requests per burst (the `k` the server's frame drain
     /// would collect from one connection wakeup).
@@ -72,7 +71,7 @@ impl Default for BurstConfig {
 }
 
 /// The measured outcome of one burst run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstReport {
     /// Requests per burst.
     pub burst_len: usize,

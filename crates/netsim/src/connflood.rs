@@ -35,13 +35,12 @@ use aipow_net::reactor::{
 use aipow_policy::LinearPolicy;
 use aipow_reputation::model::FixedScoreModel;
 use aipow_reputation::{FeatureVector, ReputationScore};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::time::Instant;
 
 /// Parameters for one connection-flood run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnfloodConfig {
     /// Benign connections opened and held idle for the whole run — the
     /// concurrency claim under test (50k+ in the CI suite).
@@ -81,7 +80,7 @@ impl Default for ConnfloodConfig {
 }
 
 /// Latency percentiles for one phase, nanoseconds per exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExchangeLatency {
     /// Median per-exchange latency.
     pub p50_ns: f64,
@@ -92,7 +91,7 @@ pub struct ExchangeLatency {
 }
 
 /// The measured outcome of one connection-flood run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnfloodOutcome {
     /// Benign connections concurrently open at the flood's peak (idle +
     /// active + the flooder's capped slice are all live in one table).

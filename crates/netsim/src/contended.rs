@@ -34,13 +34,12 @@ use aipow_online::OnlineLoop;
 use aipow_policy::LinearPolicy;
 use aipow_reputation::model::FixedScoreModel;
 use aipow_reputation::{FeatureVector, ReputationScore};
-use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Parameters for the contended-admission measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContendedConfig {
     /// Thread counts to measure, in order (the paper-style scaling report
     /// uses 1, 4, 8).
@@ -74,7 +73,7 @@ impl Default for ContendedConfig {
 }
 
 /// One measured thread count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContendedRow {
     /// Number of admission threads.
     pub threads: usize,
@@ -87,7 +86,7 @@ pub struct ContendedRow {
 }
 
 /// The full scaling report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContendedReport {
     /// One row per measured thread count, in config order.
     pub rows: Vec<ContendedRow>,

@@ -14,10 +14,9 @@ use aipow_policy::{ErrorRangePolicy, LinearPolicy, Policy, PolicyContext};
 use aipow_reputation::ReputationScore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the Figure 2 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig2Config {
     /// Trials per (policy, reputation) point; the paper uses 30.
     pub trials: usize,
@@ -41,7 +40,7 @@ impl Default for Fig2Config {
 }
 
 /// One point of the Figure 2 curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Row {
     /// Policy name.
     pub policy: String,
@@ -55,7 +54,7 @@ pub struct Fig2Row {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Table {
     /// Configuration that produced the table.
     pub config: Fig2Config,

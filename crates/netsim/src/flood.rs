@@ -35,12 +35,11 @@ use aipow_core::{CostLedger, Framework, FrameworkBuilder, RateLimiter};
 use aipow_policy::LinearPolicy;
 use aipow_reputation::model::FixedScoreModel;
 use aipow_reputation::{FeatureVector, ReputationScore};
-use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr};
 use std::time::Instant;
 
 /// Parameters for one flood run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FloodConfig {
     /// Capacity of the rate limiter and the cost ledger (the tables the
     /// flood churns).
@@ -66,7 +65,7 @@ impl Default for FloodConfig {
 }
 
 /// Latency percentiles for one phase, in nanoseconds per request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseLatency {
     /// Median per-request latency.
     pub p50_ns: f64,
@@ -77,7 +76,7 @@ pub struct PhaseLatency {
 }
 
 /// The measured outcome of one flood run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FloodOutcome {
     /// The capacity the tables were configured with.
     pub max_clients: usize,
@@ -104,7 +103,7 @@ pub struct FloodOutcome {
 }
 
 /// Flatness report: the same flood at two capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FloodPair {
     /// The run at the smaller capacity.
     pub small: FloodOutcome,

@@ -28,11 +28,10 @@ use aipow_pow::solver::{self, SolverOptions};
 use aipow_pow::{Challenge, Difficulty, Issuer, Solution};
 use aipow_reputation::model::FixedScoreModel;
 use aipow_reputation::ReputationScore;
-use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr};
 
 /// Parameters for the lane-comparison run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LanesConfig {
     /// Submissions per verification batch (the burst the server's frame
     /// drain would hand to `handle_solution_batch`).
@@ -58,7 +57,7 @@ impl Default for LanesConfig {
 }
 
 /// The measured outcome of one lane-comparison run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LanesReport {
     /// Total submissions verified per path.
     pub submissions: usize,

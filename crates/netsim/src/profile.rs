@@ -12,10 +12,9 @@
 
 use crate::sample;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A client latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverProfile {
     /// Hash evaluations per second the client sustains.
     pub hash_rate_hz: f64,

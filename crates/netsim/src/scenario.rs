@@ -25,10 +25,9 @@ use aipow_policy::{Policy, PolicyContext};
 use aipow_reputation::ReputationScore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// What bots do with the puzzles they receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackStrategy {
     /// Bots solve every puzzle (they pay the work — and are throttled by
     /// their own hash rate).
@@ -39,7 +38,7 @@ pub enum AttackStrategy {
 }
 
 /// Scenario parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdosConfig {
     /// Number of benign clients.
     pub n_benign: usize,
@@ -109,7 +108,7 @@ impl Default for DdosConfig {
 }
 
 /// Scenario results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DdosOutcome {
     /// Requests served to benign clients.
     pub benign_granted: u64,

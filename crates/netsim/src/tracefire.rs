@@ -32,13 +32,12 @@ use aipow_pow::{ManualClock, NonceWidth, Solution, TimeSource};
 use aipow_reputation::model::FixedScoreModel;
 use aipow_reputation::{FeatureVector, ReputationScore};
 use aipow_trace::{TraceConfig, Tracer, TriggerConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
 /// Parameters for one tracefire run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TracefireConfig {
     /// Benign requests before the flood (request chains only).
     pub benign_requests: usize,
@@ -71,7 +70,7 @@ struct DumpSpan {
 }
 
 /// What the frozen dump proved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TracefireReport {
     /// Whether the flight recorder tripped during the run.
     pub tripped: bool,

@@ -95,7 +95,7 @@ impl OnlineLoop {
     /// # Errors
     ///
     /// [`AttachError::InvalidSettings`] when the settings fail
-    /// [`OnlineSettings::validate`] (settings are plain deserializable
+    /// [`OnlineSettings::validate`] (settings are plain public
     /// data — bad values must error, not panic), and
     /// [`AttachError::SinkAlreadyAttached`] when the framework already
     /// has a behavior sink (the tap is write-once).

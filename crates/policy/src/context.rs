@@ -1,13 +1,11 @@
 //! Server conditions available to adaptive policies.
 
-use serde::{Deserialize, Serialize};
-
 /// A snapshot of server conditions at decision time.
 ///
 /// The paper's three policies ignore context; the adaptive extensions
 /// (e.g. [`LoadAdaptivePolicy`](crate::LoadAdaptivePolicy)) raise
 /// difficulty when the server is loaded or an attack has been declared.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyContext {
     /// Server load in `[0, 1]` (e.g. in-flight requests / capacity).
     pub server_load: f64,

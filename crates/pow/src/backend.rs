@@ -30,7 +30,6 @@ use aipow_crypto::memmix::{self, Arena};
 use aipow_crypto::sha256::{Digest, Sha256};
 use aipow_crypto::sha256_wide;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Identifies a puzzle backend on challenges, solutions, stamps, and wire
@@ -38,7 +37,7 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The id space is open — any byte decodes — so an unknown id is rejected by
 /// the verifier (a typed error), never by the codec (a parse failure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BackendId(pub u8);
 
 impl BackendId {

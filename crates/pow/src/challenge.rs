@@ -11,7 +11,6 @@ use crate::difficulty::Difficulty;
 use aipow_crypto::sha256::Digest;
 use core::fmt::{self, Write as _};
 use core::ops::Deref;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// Current challenge format version.
@@ -113,7 +112,7 @@ impl<const N: usize> fmt::Write for HashInput<N> {
 /// assert_eq!(c.difficulty().bits(), 4);
 /// assert_eq!(c.client_ip(), ip);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Challenge {
     version: u8,
     backend: BackendId,
@@ -299,7 +298,7 @@ impl Challenge {
 /// `d ≈ 28`), so the default is [`NonceWidth::U64`]; use
 /// [`SolverOptions::strict_u32`](crate::SolverOptions) for paper-faithful
 /// behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NonceWidth {
     /// 4-byte big-endian nonce (paper-faithful).
     U32,
@@ -355,7 +354,7 @@ impl NonceWidth {
 /// and the backend the client actually solved with. The verifier rejects a
 /// declared backend that disagrees with the challenge's
 /// ([`VerifyError::BackendMismatch`](crate::VerifyError)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution {
     /// The challenge being answered (echoed back to the verifier).
     pub challenge: Challenge,

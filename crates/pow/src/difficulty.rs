@@ -1,7 +1,6 @@
 //! The [`Difficulty`] newtype: leading-zero-bit requirement of a puzzle.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Puzzle difficulty in leading zero bits, `0 ..= 64`.
 ///
@@ -22,10 +21,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 ///
 /// [`Target`]: crate::target::Target
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Difficulty(u8);
 
 /// Highest representable difficulty, in bits.

@@ -53,7 +53,6 @@ pub mod difficulty;
 pub mod issuer;
 pub mod replay;
 pub mod solver;
-pub mod stamp;
 pub mod target;
 pub mod time;
 pub mod verifier;

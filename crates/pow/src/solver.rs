@@ -319,7 +319,7 @@ pub fn solve_parallel(
     let found = AtomicBool::new(false);
     let total_attempts = AtomicU64::new(0);
 
-    let result = crossbeam::thread::scope(|scope| {
+    let result = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
             let found = &found;
@@ -332,7 +332,7 @@ pub fn solve_parallel(
                 strict_u32: options.strict_u32,
                 lanes: options.lanes,
             };
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let out = solve_cancellable(challenge, client_ip, &options, found);
                 match &out {
                     Ok(report) => {
@@ -384,8 +384,7 @@ pub fn solve_parallel(
             }
         }
         (best, first_err)
-    })
-    .expect("scope invariant: solver workers do not panic");
+    });
 
     match result {
         (Some(mut report), _) => {

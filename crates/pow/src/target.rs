@@ -11,10 +11,9 @@
 
 use crate::difficulty::Difficulty;
 use aipow_crypto::sha256::Digest;
-use serde::{Deserialize, Serialize};
 
 /// A 64-bit qualification threshold for digests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Target(u64);
 
 impl Target {

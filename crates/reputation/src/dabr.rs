@@ -24,10 +24,9 @@ use crate::model::ReputationModel;
 use crate::normalize::MinMaxNormalizer;
 use crate::score::ReputationScore;
 use crate::synth::{ClassLabel, Dataset};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`DabrModel::fit`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DabrConfig {
     /// Number of malicious centroids (attack families).
     pub centroids: usize,
@@ -49,7 +48,7 @@ impl Default for DabrConfig {
 }
 
 /// Mean/stddev of the distance statistic for one class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ClassDensity {
     mean: f64,
     stddev: f64,
@@ -75,7 +74,7 @@ impl ClassDensity {
 }
 
 /// A fitted DAbR-style scorer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DabrModel {
     normalizer: MinMaxNormalizer,
     centroids: Vec<FeatureVector>,

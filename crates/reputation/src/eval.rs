@@ -7,10 +7,9 @@
 
 use crate::model::ReputationModel;
 use crate::synth::{ClassLabel, Dataset};
-use serde::{Deserialize, Serialize};
 
 /// Binary confusion matrix (positive class = malicious).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfusionMatrix {
     /// Malicious classified malicious.
     pub true_positives: usize,
@@ -66,7 +65,7 @@ impl ConfusionMatrix {
 }
 
 /// Full evaluation of a model on a labeled dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalReport {
     /// Number of evaluated samples.
     pub n: usize,

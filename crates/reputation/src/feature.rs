@@ -5,8 +5,6 @@
 //! with the same role. The schema is fixed at compile time so distance
 //! computations can stay allocation-free.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of attributes per IP.
 pub const FEATURE_COUNT: usize = 10;
 
@@ -31,7 +29,7 @@ pub const FEATURE_NAMES: [&str; FEATURE_COUNT] = [
 /// let f = FeatureVector::zeros();
 /// assert_eq!(f.as_slice().len(), FEATURE_COUNT);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureVector {
     values: [f64; FEATURE_COUNT],
 }
@@ -105,7 +103,7 @@ impl From<[f64; FEATURE_COUNT]> for FeatureVector {
 /// an observation window. [`TrafficWindow::extract`] converts counters into
 /// the model's attribute vector; the synthetic generator can produce either
 /// form.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficWindow {
     /// Window length in seconds.
     pub window_secs: f64,

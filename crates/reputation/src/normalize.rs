@@ -5,7 +5,6 @@
 //! `interarrival_jitter` in milliseconds) dominates the metric.
 
 use crate::feature::{FeatureVector, FEATURE_COUNT};
-use serde::{Deserialize, Serialize};
 
 /// A fitted min–max normalizer mapping each attribute onto `[0, 10]`.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let t = norm.transform(&FeatureVector::zeros().with(0, 7.0));
 /// assert!((t.get(0) - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxNormalizer {
     mins: [f64; FEATURE_COUNT],
     ranges: [f64; FEATURE_COUNT],

@@ -1,7 +1,6 @@
 //! The [`ReputationScore`] newtype.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// An IP reputation score on the paper's scale: `[0, 10]`, where **higher
 /// means more untrustworthy**.
@@ -15,8 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(ReputationScore::new(11.0).is_err());
 /// # Ok::<(), aipow_reputation::score::ScoreRangeError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
-#[serde(try_from = "f64", into = "f64")]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct ReputationScore(f64);
 
 /// Error returned when constructing a score outside `[0, 10]` or from a

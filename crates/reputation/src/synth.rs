@@ -16,10 +16,9 @@
 use crate::feature::{FeatureVector, FEATURE_COUNT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth class of a synthetic IP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClassLabel {
     /// Ordinary, well-behaved client.
     Benign,
@@ -28,7 +27,7 @@ pub enum ClassLabel {
 }
 
 /// Behavioural archetype of a synthetic IP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Archetype {
     /// Residential/enterprise user traffic.
     Residential,
@@ -141,7 +140,7 @@ impl Archetype {
 }
 
 /// One labeled synthetic IP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabeledSample {
     /// The IP's attribute vector.
     pub features: FeatureVector,
@@ -154,7 +153,7 @@ pub struct LabeledSample {
 }
 
 /// Generation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetSpec {
     /// Number of benign samples (split between benign archetypes).
     pub n_benign: usize,
@@ -294,7 +293,7 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 }
 
 /// A labeled synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     samples: Vec<LabeledSample>,
 }

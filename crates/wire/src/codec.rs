@@ -6,7 +6,6 @@
 
 use crate::message::{Message, RejectCode};
 use aipow_pow::{BackendId, Challenge, Difficulty, NonceWidth};
-use bytes::{Buf, BufMut};
 use core::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -130,10 +129,10 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 /// patched in last. The bytes appended equal [`encode`]'s output.
 pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
     let start = out.len();
-    out.put_u16(MAGIC);
-    out.put_u8(PROTOCOL_VERSION);
-    out.put_u8(msg.type_byte());
-    out.put_u32(0);
+    out.extend_from_slice(&MAGIC.to_be_bytes());
+    out.push(PROTOCOL_VERSION);
+    out.push(msg.type_byte());
+    out.extend_from_slice(&0u32.to_be_bytes());
     match msg {
         Message::RequestResource { path } => put_str(out, path),
         Message::ChallengeIssued { challenge, path } => {
@@ -148,12 +147,12 @@ pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
             path,
         } => {
             put_challenge(out, challenge);
-            out.put_u64(*nonce);
-            out.put_u8(match width {
+            out.extend_from_slice(&nonce.to_be_bytes());
+            out.push(match width {
                 NonceWidth::U32 => 4,
                 NonceWidth::U64 => 8,
             });
-            out.put_u8(backend.as_u8());
+            out.push(backend.as_u8());
             put_str(out, path);
         }
         Message::ResourceGranted { path, body } => {
@@ -161,17 +160,18 @@ pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
             put_bytes(out, body);
         }
         Message::Rejected { code, detail } => {
-            out.put_u8(code.as_u8());
+            out.push(code.as_u8());
             put_str(out, detail);
         }
-        Message::Ping { token } => out.put_u64(*token),
-        Message::Pong { token } => out.put_u64(*token),
+        Message::Ping { token } | Message::Pong { token } => {
+            out.extend_from_slice(&token.to_be_bytes());
+        }
         Message::TelemetryRequest => {}
         Message::TelemetryReply { json, prometheus } => {
             put_str(out, json);
             put_str(out, prometheus);
         }
-        Message::Hello { version } => out.put_u8(*version),
+        Message::Hello { version } => out.push(*version),
     }
     let payload_len = (out.len() - start - HEADER_LEN) as u32;
     out[start + 4..start + HEADER_LEN].copy_from_slice(&payload_len.to_be_bytes());
@@ -185,35 +185,31 @@ pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
 /// trailing-garbage input.
 pub fn decode(frame: &[u8]) -> Result<Message, DecodeError> {
     let mut buf = frame;
-    if buf.remaining() < HEADER_LEN {
-        return Err(DecodeError::Truncated);
-    }
-    let magic = buf.get_u16();
+    let [m0, m1, version, msg_type, l0, l1, l2, l3] = take::<HEADER_LEN>(&mut buf)?;
+    let magic = u16::from_be_bytes([m0, m1]);
     if magic != MAGIC {
         return Err(DecodeError::BadMagic { got: magic });
     }
-    let version = buf.get_u8();
     if version != PROTOCOL_VERSION {
         return Err(DecodeError::UnsupportedVersion { got: version });
     }
-    let msg_type = buf.get_u8();
-    let declared = buf.get_u32() as usize;
+    let declared = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
     if declared > MAX_PAYLOAD_LEN {
         return Err(DecodeError::PayloadTooLarge { declared });
     }
-    if buf.remaining() < declared {
+    if buf.len() < declared {
         return Err(DecodeError::Truncated);
     }
-    if buf.remaining() > declared {
+    if buf.len() > declared {
         return Err(DecodeError::TrailingBytes {
-            remaining: buf.remaining() - declared,
+            remaining: buf.len() - declared,
         });
     }
 
     let msg = decode_payload(msg_type, &mut buf)?;
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(DecodeError::TrailingBytes {
-            remaining: buf.remaining(),
+            remaining: buf.len(),
         });
     }
     Ok(msg)
@@ -282,52 +278,53 @@ fn decode_payload(msg_type: u8, buf: &mut &[u8]) -> Result<Message, DecodeError>
 // --- field helpers ---------------------------------------------------------
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+    put_bytes(buf, s.as_bytes());
 }
 
 fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    buf.put_u32(b.len() as u32);
-    buf.put_slice(b);
+    buf.extend_from_slice(&(b.len() as u32).to_be_bytes());
+    buf.extend_from_slice(b);
 }
 
 fn put_ip(buf: &mut Vec<u8>, ip: IpAddr) {
     match ip {
         IpAddr::V4(v4) => {
-            buf.put_u8(4);
-            buf.put_slice(&v4.octets());
+            buf.push(4);
+            buf.extend_from_slice(&v4.octets());
         }
         IpAddr::V6(v6) => {
-            buf.put_u8(6);
-            buf.put_slice(&v6.octets());
+            buf.push(6);
+            buf.extend_from_slice(&v6.octets());
         }
     }
 }
 
 fn put_challenge(buf: &mut Vec<u8>, c: &Challenge) {
-    buf.put_u8(c.version());
-    buf.put_u8(c.backend().as_u8());
-    buf.put_u8(c.backend_param());
-    buf.put_slice(c.seed());
-    buf.put_u64(c.issued_at_ms());
-    buf.put_u64(c.ttl_ms());
-    buf.put_u8(c.difficulty().bits());
+    buf.push(c.version());
+    buf.push(c.backend().as_u8());
+    buf.push(c.backend_param());
+    buf.extend_from_slice(c.seed());
+    buf.extend_from_slice(&c.issued_at_ms().to_be_bytes());
+    buf.extend_from_slice(&c.ttl_ms().to_be_bytes());
+    buf.push(c.difficulty().bits());
     put_ip(buf, c.client_ip());
-    buf.put_slice(c.tag());
+    buf.extend_from_slice(c.tag());
+}
+
+/// Splits the next `N` bytes off the front of `buf`; the one truncation
+/// check every fixed-width field goes through.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
 fn get_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
-    if buf.remaining() < 1 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u8())
+    take(buf).map(|[byte]| byte)
 }
 
 fn get_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u64())
+    take(buf).map(u64::from_be_bytes)
 }
 
 fn get_str(buf: &mut &[u8]) -> Result<String, DecodeError> {
@@ -336,39 +333,19 @@ fn get_str(buf: &mut &[u8]) -> Result<String, DecodeError> {
 }
 
 fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u32() as usize;
+    let len = u32::from_be_bytes(take(buf)?) as usize;
     if len > MAX_PAYLOAD_LEN {
         return Err(DecodeError::PayloadTooLarge { declared: len });
     }
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let out = buf[..len].to_vec();
-    buf.advance(len);
-    Ok(out)
+    let (bytes, rest) = buf.split_at_checked(len).ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(bytes.to_vec())
 }
 
 fn get_ip(buf: &mut &[u8]) -> Result<IpAddr, DecodeError> {
     match get_u8(buf)? {
-        4 => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let mut octets = [0u8; 4];
-            buf.copy_to_slice(&mut octets);
-            Ok(IpAddr::V4(Ipv4Addr::from(octets)))
-        }
-        6 => {
-            if buf.remaining() < 16 {
-                return Err(DecodeError::Truncated);
-            }
-            let mut octets = [0u8; 16];
-            buf.copy_to_slice(&mut octets);
-            Ok(IpAddr::V6(Ipv6Addr::from(octets)))
-        }
+        4 => Ok(IpAddr::V4(Ipv4Addr::from(take::<4>(buf)?))),
+        6 => Ok(IpAddr::V6(Ipv6Addr::from(take::<16>(buf)?))),
         got => Err(DecodeError::InvalidIpTag { got }),
     }
 }
@@ -377,11 +354,7 @@ fn get_challenge(buf: &mut &[u8]) -> Result<Challenge, DecodeError> {
     let version = get_u8(buf)?;
     let backend = BackendId(get_u8(buf)?);
     let backend_param = get_u8(buf)?;
-    if buf.remaining() < 16 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut seed = [0u8; 16];
-    buf.copy_to_slice(&mut seed);
+    let seed = take(buf)?;
     let issued_at_ms = get_u64(buf)?;
     let ttl_ms = get_u64(buf)?;
     let difficulty_bits = get_u8(buf)?;
@@ -390,11 +363,7 @@ fn get_challenge(buf: &mut &[u8]) -> Result<Challenge, DecodeError> {
             got: difficulty_bits,
         })?;
     let client_ip = get_ip(buf)?;
-    if buf.remaining() < 32 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut tag = [0u8; 32];
-    buf.copy_to_slice(&mut tag);
+    let tag = take(buf)?;
     Ok(Challenge::from_parts_backend(
         version,
         backend,
@@ -579,22 +548,37 @@ mod tests {
         );
     }
 
+    /// Every frame type, cut at every byte: a short frame fails the
+    /// header's length check, and the same payload cut with the length
+    /// patched to match gets past it and runs out inside a field read.
     #[test]
     fn truncation_rejected_at_every_length() {
-        let bytes = encode(&Message::SubmitSolution {
-            challenge: sample_challenge(),
-            nonce: 1,
-            width: NonceWidth::U64,
-            backend: BackendId::SHA256,
-            path: "/p".into(),
-        });
-        for cut in 0..bytes.len() {
-            let result = decode(&bytes[..cut]);
-            assert!(
-                result.is_err(),
-                "decode of {cut}/{} bytes unexpectedly succeeded",
-                bytes.len()
-            );
+        // The fixtures hold no IPv6 frame, and they feed the golden
+        // frames, so the IPv6 address arm gets its frame here.
+        let ipv6 = Message::ChallengeIssued {
+            challenge: Issuer::new(&[6u8; 32])
+                .issue(IpAddr::V6(Ipv6Addr::LOCALHOST), Difficulty::new(3).unwrap()),
+            path: "/v6".into(),
+        };
+        for msg in all_messages().into_iter().chain([ipv6]) {
+            let bytes = encode(&msg);
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    decode(&bytes[..cut]),
+                    Err(DecodeError::Truncated),
+                    "{msg:?} cut to {cut}/{} bytes",
+                    bytes.len()
+                );
+            }
+            for cut in 0..bytes.len() - HEADER_LEN {
+                let mut frame = bytes[..HEADER_LEN + cut].to_vec();
+                frame[4..HEADER_LEN].copy_from_slice(&(cut as u32).to_be_bytes());
+                assert_eq!(
+                    decode(&frame),
+                    Err(DecodeError::Truncated),
+                    "{msg:?} payload cut to {cut} bytes, length patched"
+                );
+            }
         }
     }
 

@@ -61,7 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Cryptographic substrate: SHA-256/224, HMAC, HKDF, hex, memory-hard mixing.
+/// Cryptographic substrate: SHA-256, HMAC, HKDF, hex, memory-hard mixing.
 pub mod crypto {
     pub use aipow_crypto::*;
 }
