@@ -125,60 +125,54 @@ impl AuditLog {
         self.capacity
     }
 
-    /// Appends an event, evicting the oldest if full.
+    /// Appends an event, evicting the oldest if full: a batch of one
+    /// through [`record_batch`](AuditLog::record_batch).
+    pub fn record(&self, at_ms: u64, client_ip: IpAddr, kind: AuditKind) {
+        let mut event = Some(AuditEvent {
+            at_ms,
+            client_ip,
+            kind,
+        });
+        self.record_batch(1, |_| {
+            event
+                .take()
+                .expect("batch invariant: a batch of one builds one event")
+        });
+    }
+
+    /// Appends `n` events, `event(i)` being the `i`-th, in order,
+    /// reserving the whole sequence range with **one** atomic add and
+    /// taking each shard's lock **once** for the batch. Round-robin
+    /// assignment places consecutive sequence numbers on consecutive
+    /// shards, so a batch of `n` events touches `min(n, shards)` shards
+    /// with `⌈n / shards⌉` appends each. `event` is called once per
+    /// index, shard by shard rather than in index order, under that
+    /// shard's lock; the batch needs no buffer of its own. Retention and
+    /// ordering semantics are identical to `n` calls to
+    /// [`record`](AuditLog::record).
     ///
     /// Under contention two recorders may land in the same shard with
     /// their sequence numbers reversed, in which case a full ring can
     /// evict an event one slot newer than the strict global oldest; the
     /// merge in [`snapshot`](AuditLog::snapshot) restores exact order for
     /// everything retained.
-    pub fn record(&self, at_ms: u64, client_ip: IpAddr, kind: AuditKind) {
-        // AcqRel: reservations form one total order; pairs with the
-        // Acquire in recorded() so a observed count covers its events
-        let seq = self.seq.fetch_add(1, Ordering::AcqRel);
-        let event = AuditEvent {
-            at_ms,
-            client_ip,
-            kind,
-        };
-        self.shards.with_index(seq as usize, |ring| {
-            if ring.len() == self.per_shard {
-                ring.pop_front();
-            }
-            ring.push_back((seq, event));
-        });
-    }
-
-    /// Appends a batch of events in order, reserving the whole sequence
-    /// range with **one** atomic add and taking each shard's lock **once**
-    /// for the batch. Round-robin assignment places consecutive sequence
-    /// numbers on consecutive shards, so a batch of `n` events touches
-    /// `min(n, shards)` shards with `⌈n / shards⌉` appends each — the
-    /// per-event lock acquisition the sequential path pays is amortized
-    /// away. Retention and ordering semantics are identical to `n` calls
-    /// to [`record`](AuditLog::record).
-    pub fn record_batch(&self, events: Vec<AuditEvent>) {
-        let n = events.len();
+    pub fn record_batch(&self, n: usize, mut event: impl FnMut(usize) -> AuditEvent) {
         if n == 0 {
             return;
         }
-        // AcqRel: see record() — one RMW reserves the whole batch range
+        // AcqRel: reservations form one total order; pairs with the
+        // Acquire in recorded() so an observed count covers its events.
+        // One RMW reserves the whole batch range.
         let base = self.seq.fetch_add(n as u64, Ordering::AcqRel);
         let shards = self.shards.shard_count();
-        let mut events: Vec<Option<AuditEvent>> = events.into_iter().map(Some).collect();
         for offset in 0..shards.min(n) {
             self.shards
                 .with_index((base as usize).wrapping_add(offset), |ring| {
-                    let mut i = offset;
-                    while i < n {
+                    for i in (offset..n).step_by(shards) {
                         if ring.len() == self.per_shard {
                             ring.pop_front();
                         }
-                        let event = events[i]
-                            .take()
-                            .expect("batch invariant: each slot is visited exactly once");
-                        ring.push_back((base + i as u64, event));
-                        i += shards;
+                        ring.push_back((base + i as u64, event(i)));
                     }
                 });
         }
@@ -299,12 +293,12 @@ mod tests {
             single.record(e.at_ms, e.client_ip, e.kind.clone());
         }
         // Mixed batch sizes covering n < shards, n == shards, n > shards.
-        let mut rest = events;
+        let mut start = 0;
         for take in [1usize, 3, 4, 9, 23] {
-            let chunk: Vec<AuditEvent> = rest.drain(..take).collect();
-            batched.record_batch(chunk);
+            batched.record_batch(take, |i| events[start + i].clone());
+            start += take;
         }
-        batched.record_batch(Vec::new()); // no-op
+        batched.record_batch(0, |_| unreachable!("an empty batch builds no event"));
         assert_eq!(batched.recorded(), single.recorded());
         assert_eq!(batched.len(), single.len());
         assert_eq!(batched.snapshot(), single.snapshot());
@@ -313,14 +307,11 @@ mod tests {
     #[test]
     fn record_batch_larger_than_capacity_keeps_the_tail() {
         let log = AuditLog::with_shards(4, 2);
-        let events: Vec<AuditEvent> = (0..10u64)
-            .map(|i| AuditEvent {
-                at_ms: i,
-                client_ip: ip(),
-                kind: AuditKind::SolutionRejected { reason: "x".into() },
-            })
-            .collect();
-        log.record_batch(events);
+        log.record_batch(10, |i| AuditEvent {
+            at_ms: i as u64,
+            client_ip: ip(),
+            kind: AuditKind::SolutionRejected { reason: "x".into() },
+        });
         let got: Vec<u64> = log.snapshot().iter().map(|e| e.at_ms).collect();
         assert_eq!(got, vec![9, 8, 7, 6]);
     }

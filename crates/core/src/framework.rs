@@ -342,15 +342,10 @@ impl Framework {
     /// request stage chain (Score → Bypass → Policy → Issue → Telemetry;
     /// see [`crate::pipeline`]) over a batch of one.
     pub fn handle_request(&self, client_ip: IpAddr, features: &FeatureVector) -> AdmissionDecision {
-        let now_ms = self.clock.now_ms();
         let mut batch = [RequestCtx::new(client_ip, features)];
-        if let Some(tracer) = self.tracer() {
-            batch[0].trace_id = tracer.begin_trace();
-        }
-        pipeline::run_request_chain(self, now_ms, &mut batch);
-        batch[0]
-            .decision
-            .take()
+        pipeline::admit_requests(self, &mut batch);
+        let [ctx] = batch;
+        ctx.decision
             .expect("pipeline invariant: the request chain settles every ctx")
     }
 
@@ -374,17 +369,11 @@ impl Framework {
     ) -> Vec<AdmissionDecision> {
         let mut decisions = Vec::with_capacity(requests.len());
         for chunk in requests.chunks(self.max_batch) {
-            let now_ms = self.clock.now_ms();
             let mut batch: Vec<RequestCtx<'_>> = chunk
                 .iter()
                 .map(|&(ip, features)| RequestCtx::new(ip, features))
                 .collect();
-            if let Some(tracer) = self.tracer() {
-                for ctx in &mut batch {
-                    ctx.trace_id = tracer.begin_trace();
-                }
-            }
-            pipeline::run_request_chain(self, now_ms, &mut batch);
+            pipeline::admit_requests(self, &mut batch);
             decisions.extend(batch.into_iter().map(|ctx| {
                 ctx.decision
                     .expect("pipeline invariant: the request chain settles every ctx")
@@ -407,15 +396,10 @@ impl Framework {
         solution: &Solution,
         claimed_ip: IpAddr,
     ) -> Result<VerifiedToken, VerifyError> {
-        let now_ms = self.clock.now_ms();
         let mut batch = [SolutionCtx::new(solution, claimed_ip)];
-        if let Some(tracer) = self.tracer() {
-            batch[0].trace_id = tracer.begin_trace();
-        }
-        pipeline::run_solution_chain(self, now_ms, &mut batch);
-        batch[0]
-            .outcome
-            .take()
+        pipeline::admit_solutions(self, &mut batch);
+        let [ctx] = batch;
+        ctx.outcome
             .expect("pipeline invariant: the verify stage settles every solution")
     }
 
@@ -433,17 +417,11 @@ impl Framework {
     ) -> Vec<Result<VerifiedToken, VerifyError>> {
         let mut outcomes = Vec::with_capacity(submissions.len());
         for chunk in submissions.chunks(self.max_batch) {
-            let now_ms = self.clock.now_ms();
             let mut batch: Vec<SolutionCtx<'_>> = chunk
                 .iter()
                 .map(|&(solution, ip)| SolutionCtx::new(solution, ip))
                 .collect();
-            if let Some(tracer) = self.tracer() {
-                for ctx in &mut batch {
-                    ctx.trace_id = tracer.begin_trace();
-                }
-            }
-            pipeline::run_solution_chain(self, now_ms, &mut batch);
+            pipeline::admit_solutions(self, &mut batch);
             outcomes.extend(batch.into_iter().map(|ctx| {
                 ctx.outcome
                     .expect("pipeline invariant: the verify stage settles every solution")

@@ -103,7 +103,6 @@ pub use export::{snapshot_json, snapshot_prometheus};
 pub use features::{FeatureSource, StaticFeatureSource, SyntheticFeatureSource};
 pub use framework::{AdmissionDecision, BuildError, Framework, FrameworkBuilder, IssuedChallenge};
 pub use metrics::{FrameworkMetrics, MetricsSnapshot, StageTiming};
-pub use pipeline::{AdmissionStage, RequestCtx, SolutionCtx};
 pub use sharded::{Sharded, ShardedMap};
 pub use tap::{BehaviorSink, RequestObservation, SolutionObservation};
 pub use token_bucket::{LeastRecentlyRefilled, RateLimiter, TokenBucket};

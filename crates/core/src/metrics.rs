@@ -97,8 +97,9 @@ impl RejectionCounts {
 /// The admission pipeline's stages, in chain order: the request chain
 /// (`score → bypass → policy → issue → request_telemetry`) followed by
 /// the solution chain (`verify → charge → solution_telemetry`). Indexes
-/// into the per-stage latency counters; `aipow_core::pipeline` assigns
-/// each stage its slot.
+/// into the per-stage latency counters. This is a stage name's one
+/// declaration: `aipow_core::pipeline` pairs each stage function with
+/// its slot here and names the stage's trace spans from it.
 pub const STAGE_NAMES: [&str; 8] = [
     "score",
     "bypass",
@@ -467,12 +468,6 @@ impl FrameworkMetrics {
         self.rejected_by_reason.record(reason);
     }
 
-    /// Records the difficulty of an issued challenge (lock-free).
-    pub fn record_issued_difficulty(&self, bits: u8) {
-        self.challenges_issued.inc();
-        self.issued_difficulty.record(bits);
-    }
-
     /// Records a batch of issued difficulties: one add to the issue
     /// counter for the whole group, one bucket update per challenge.
     pub fn record_issued_difficulties(&self, bits: impl IntoIterator<Item = u8>) {
@@ -545,8 +540,8 @@ mod tests {
     #[test]
     fn counters_and_snapshot() {
         let m = FrameworkMetrics::new();
-        m.record_issued_difficulty(5);
-        m.record_issued_difficulty(9);
+        m.record_issued_difficulties([5]);
+        m.record_issued_difficulties([9]);
         m.solutions_accepted.inc();
         m.record_rejection("replayed");
         m.record_rejection("replayed");
@@ -598,7 +593,7 @@ mod tests {
     fn difficulty_median_is_exact() {
         let m = FrameworkMetrics::new();
         for bits in [3u8, 3, 3, 7, 9] {
-            m.record_issued_difficulty(bits);
+            m.record_issued_difficulties([bits]);
         }
         let snap = m.snapshot();
         assert_eq!(snap.median_issued_difficulty, 3);
@@ -616,7 +611,7 @@ mod tests {
         let single = FrameworkMetrics::new();
         let batched = FrameworkMetrics::new();
         for bits in [3u8, 3, 7, 9] {
-            single.record_issued_difficulty(bits);
+            single.record_issued_difficulties([bits]);
         }
         batched.record_issued_difficulties([3u8, 3, 7, 9]);
         batched.record_issued_difficulties([]);

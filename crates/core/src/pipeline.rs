@@ -1,19 +1,16 @@
-//! The admission pipeline as an explicit, composable stage chain.
+//! The admission pipeline as an explicit stage chain.
 //!
 //! The paper's Figure-1 loop (score → policy → issue → verify → charge)
-//! used to live as two monolithic functions on [`Framework`], each paying
-//! its fixed costs — a clock reading, a policy read-lock, an audit
-//! append, a metrics update, a sink notification — once **per request**.
-//! This module decomposes the loop into named [`AdmissionStage`]s over a
-//! typed per-request context, with two consequences:
+//! runs as a chain of stage functions over a batch of typed per-request
+//! contexts, with two consequences:
 //!
 //! - **Observability**: every stage records its wall-clock latency into
 //!   [`crate::FrameworkMetrics`]'s per-stage counters (reported as
 //!   [`crate::MetricsSnapshot::stage_timings`]), so an operator can see
 //!   *where* admission time goes, not just that it went.
 //! - **Amortization**: a stage runs over a *batch* of contexts (the
-//!   sequential entry points pass a batch of one), so the batch entry
-//!   points ([`Framework::handle_request_batch`],
+//!   sequential entry points pass a batch of one through the same code),
+//!   so the batch entry points ([`Framework::handle_request_batch`],
 //!   [`Framework::handle_solution_batch`]) pay each fixed cost once per
 //!   group: one clock reading, one policy read-lock, one audit-shard
 //!   lock acquisition per shard, one grouped ledger charge, one batched
@@ -26,15 +23,17 @@
 //! solution: Verify → Charge → Telemetry
 //! ```
 //!
-//! A stage that settles a context (the bypass admit) simply fills its
-//! `decision`; later stages skip settled contexts. The terminal telemetry
-//! stage replaces the old triple audit+metrics+sink fan-out and observes
-//! *every* context, settled or not.
+//! Each chain is a table of `(slot, stage)` pairs; a stage's name is its
+//! slot's entry in [`crate::metrics::STAGE_NAMES`]. A stage that settles
+//! a context (the bypass admit) simply fills its `decision`; later
+//! stages skip settled contexts. The terminal telemetry stage is the one
+//! place that records audit events, metrics and sink deliveries, and it
+//! observes *every* context, settled or not.
 //!
 //! # Batching invariants
 //!
-//! Batched admission is equivalent to sequential admission with two
-//! documented relaxations, both consequences of reading shared inputs
+//! Batched admission is equivalent to sequential admission with three
+//! documented relaxations, all consequences of reading shared inputs
 //! once per batch instead of once per request:
 //!
 //! 1. every context in a batch observes the same clock instant (the
@@ -57,10 +56,10 @@
 //! two paths.
 
 use crate::framework::{AdmissionDecision, Framework, IssuedChallenge};
-use crate::metrics::reason_label;
+use crate::metrics::{reason_label, STAGE_NAMES};
 use crate::sync::Ordering;
 use crate::tap::{RequestObservation, SolutionObservation};
-use crate::AuditKind;
+use crate::{AuditEvent, AuditKind};
 use aipow_policy::PolicyContext;
 use aipow_pow::{Difficulty, Solution, VerifiedToken, VerifyError};
 use aipow_reputation::{FeatureVector, ReputationScore};
@@ -94,8 +93,8 @@ pub struct RequestCtx<'a> {
     /// The final decision; a context is *settled* once this is filled.
     pub decision: Option<AdmissionDecision>,
     /// Request-scoped trace ID; 0 (the default) means unsampled, and the
-    /// chain emits no spans for this context. The framework's entry
-    /// points assign IDs from the attached tracer's sampler.
+    /// chain emits no spans for this context. The chain assigns IDs from
+    /// the attached tracer's sampler before its first stage.
     pub trace_id: u64,
 }
 
@@ -109,6 +108,23 @@ impl<'a> RequestCtx<'a> {
             difficulty: None,
             decision: None,
             trace_id: 0,
+        }
+    }
+
+    /// The settled decision, as the telemetry stage reports it.
+    fn observation(&self) -> RequestObservation {
+        let (score, difficulty) = match self
+            .decision
+            .as_ref()
+            .expect("pipeline invariant: the request chain settles every ctx")
+        {
+            AdmissionDecision::Admit { score } => (*score, None),
+            AdmissionDecision::Challenge(issued) => (issued.score, Some(issued.difficulty)),
+        };
+        RequestObservation {
+            ip: self.client_ip,
+            score,
+            difficulty,
         }
     }
 }
@@ -137,6 +153,22 @@ impl<'a> SolutionCtx<'a> {
             trace_id: 0,
         }
     }
+
+    /// The verifier's outcome.
+    fn verified(&self) -> Result<&VerifiedToken, &VerifyError> {
+        self.outcome
+            .as_ref()
+            .expect("pipeline invariant: the verify stage settles every solution")
+            .as_ref()
+    }
+
+    /// The verifier's outcome, as the telemetry stage reports it.
+    fn observation(&self) -> SolutionObservation<'_> {
+        SolutionObservation {
+            ip: self.claimed_ip,
+            outcome: self.verified().map(|token| token.difficulty),
+        }
+    }
 }
 
 /// How a context presents itself to the tracer after each stage: who it
@@ -144,6 +176,7 @@ impl<'a> SolutionCtx<'a> {
 /// known at this point in the chain.
 pub(crate) trait Traceable {
     fn trace_id(&self) -> u64;
+    fn set_trace_id(&mut self, trace_id: u64);
     fn trace_client_ip(&self) -> IpAddr;
     fn trace_difficulty_bits(&self) -> i16;
     fn trace_verdict(&self) -> &'static str;
@@ -152,6 +185,10 @@ pub(crate) trait Traceable {
 impl Traceable for RequestCtx<'_> {
     fn trace_id(&self) -> u64 {
         self.trace_id
+    }
+
+    fn set_trace_id(&mut self, trace_id: u64) {
+        self.trace_id = trace_id;
     }
 
     fn trace_client_ip(&self) -> IpAddr {
@@ -180,6 +217,10 @@ impl Traceable for SolutionCtx<'_> {
         self.trace_id
     }
 
+    fn set_trace_id(&mut self, trace_id: u64) {
+        self.trace_id = trace_id;
+    }
+
     fn trace_client_ip(&self) -> IpAddr {
         self.claimed_ip
     }
@@ -198,48 +239,41 @@ impl Traceable for SolutionCtx<'_> {
 }
 
 /// One stage of an admission chain. Stages are stateless (per-request
-/// state lives in the context); `run` processes the whole batch so
-/// implementations can hoist per-batch work out of the item loop.
-pub trait AdmissionStage<Ctx>: Send + Sync {
-    /// The stage's name, as it appears in
-    /// [`crate::metrics::STAGE_NAMES`].
-    fn name(&self) -> &'static str;
+/// state lives in the context) and process the whole batch, so they can
+/// hoist per-batch work out of the item loop. A stage returns how many
+/// contexts it actually worked on — settled contexts a stage skips
+/// (bypassed requests at the issue stage, rejected solutions at the
+/// charge stage) are excluded, so the recorded `total_ns / items` stays
+/// an honest amortized per-item cost. The `u64` is the batch's one
+/// clock reading, in ms.
+type Stage<Ctx> = fn(&Framework, u64, &mut [Ctx]) -> usize;
 
-    /// The stage's slot in the per-stage latency counters.
-    fn slot(&self) -> usize;
-
-    /// Processes the batch and returns how many contexts it actually
-    /// worked on — settled contexts a stage skips (bypassed requests at
-    /// the issue stage, rejected solutions at the charge stage) are
-    /// excluded, so the recorded `total_ns / items` stays an honest
-    /// amortized per-item cost. `now_ms` is the batch's one clock
-    /// reading.
-    fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [Ctx]) -> usize;
-}
-
-/// Runs a chain over a batch, recording each stage's wall-clock latency.
-/// One `Instant` reading per stage boundary (N+1 readings for N stages),
-/// so the sequential path pays a fixed, small observability overhead and
-/// the batch path amortizes it along with everything else.
+/// Runs a chain over a batch: reads the clock once, draws each
+/// context's trace ID from the attached tracer's sampler, then runs the
+/// stages in order, recording each one's wall-clock latency under its
+/// slot. One `Instant` reading per stage boundary (N+1 readings for N
+/// stages), so a batch of one pays a fixed, small observability overhead
+/// and a larger batch amortizes it along with everything else.
 ///
 /// When a tracer is attached, each stage additionally emits one span per
 /// *sampled* context (`trace_id != 0`). The per-stage cost with nothing
 /// sampled — the steady state at 1-in-N sampling — is one predictable
 /// branch per context; span recording itself is a `try_lock` ring append
 /// that drops on contention rather than blocking the admission path.
-fn run_chain<Ctx: Traceable>(
-    fw: &Framework,
-    now_ms: u64,
-    stages: &[&dyn AdmissionStage<Ctx>],
-    batch: &mut [Ctx],
-) {
+fn run_chain<Ctx: Traceable>(fw: &Framework, chain: &[(usize, Stage<Ctx>)], batch: &mut [Ctx]) {
+    let now_ms = fw.now_ms();
     let tracer = fw.tracer();
+    if let Some(tracer) = tracer {
+        for ctx in batch.iter_mut() {
+            ctx.set_trace_id(tracer.begin_trace());
+        }
+    }
     let mut boundary = Instant::now();
-    for stage in stages {
-        let items = stage.run(fw, now_ms, batch);
+    for &(slot, stage) in chain {
+        let items = stage(fw, now_ms, batch);
         let next = Instant::now();
         let nanos = (next - boundary).as_nanos() as u64;
-        fw.metrics().record_stage(stage.slot(), items as u64, nanos);
+        fw.metrics().record_stage(slot, items as u64, nanos);
         if let Some(tracer) = tracer {
             for ctx in batch.iter() {
                 let trace_id = ctx.trace_id();
@@ -247,8 +281,8 @@ fn run_chain<Ctx: Traceable>(
                     tracer.record(SpanEvent {
                         trace_id,
                         client_ip: ctx.trace_client_ip(),
-                        stage: stage.name(),
-                        slot: stage.slot() as u8,
+                        stage: STAGE_NAMES[slot],
+                        slot: slot as u8,
                         batch_len: batch.len() as u32,
                         start_ns: tracer.ns_since_epoch(boundary),
                         duration_ns: nanos,
@@ -262,113 +296,79 @@ fn run_chain<Ctx: Traceable>(
     }
 }
 
-/// Runs the request chain (Score → Bypass → Policy → Issue → Telemetry)
-/// over `batch`. Every context leaves settled.
-pub(crate) fn run_request_chain(fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) {
+/// Admits `batch` through the request chain (Score → Bypass → Policy →
+/// Issue → Telemetry). Every context leaves settled.
+pub(crate) fn admit_requests(fw: &Framework, batch: &mut [RequestCtx<'_>]) {
     run_chain(
         fw,
-        now_ms,
         &[
-            &ScoreStage,
-            &BypassStage,
-            &PolicyStage,
-            &IssueStage,
-            &RequestTelemetryStage,
+            (SLOT_SCORE, score),
+            (SLOT_BYPASS, bypass),
+            (SLOT_POLICY, policy),
+            (SLOT_ISSUE, issue),
+            (SLOT_REQUEST_TELEMETRY, request_telemetry),
         ],
         batch,
     );
 }
 
-/// Runs the solution chain (Verify → Charge → Telemetry) over `batch`.
-/// Every context leaves with an outcome.
-pub(crate) fn run_solution_chain(fw: &Framework, now_ms: u64, batch: &mut [SolutionCtx<'_>]) {
+/// Admits `batch` through the solution chain (Verify → Charge →
+/// Telemetry). Every context leaves with an outcome.
+pub(crate) fn admit_solutions(fw: &Framework, batch: &mut [SolutionCtx<'_>]) {
     run_chain(
         fw,
-        now_ms,
-        &[&VerifyStage, &ChargeStage, &SolutionTelemetryStage],
+        &[
+            (SLOT_VERIFY, verify),
+            (SLOT_CHARGE, charge),
+            (SLOT_SOLUTION_TELEMETRY, solution_telemetry),
+        ],
         batch,
     );
 }
 
 /// Figure-1 step 2: the AI model scores each request's features.
-struct ScoreStage;
-
-impl AdmissionStage<RequestCtx<'_>> for ScoreStage {
-    fn name(&self) -> &'static str {
-        "score"
+fn score(fw: &Framework, _now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
+    for ctx in batch.iter_mut() {
+        ctx.score = fw.model.score(ctx.features);
     }
-
-    fn slot(&self) -> usize {
-        SLOT_SCORE
-    }
-
-    fn run(&self, fw: &Framework, _now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        for ctx in batch.iter_mut() {
-            ctx.score = fw.model.score(ctx.features);
-        }
-        batch.len()
-    }
+    batch.len()
 }
 
 /// The bypass extension: scores strictly under the configured threshold
 /// are admitted without a puzzle (settling the context).
-struct BypassStage;
-
-impl AdmissionStage<RequestCtx<'_>> for BypassStage {
-    fn name(&self) -> &'static str {
-        "bypass"
-    }
-
-    fn slot(&self) -> usize {
-        SLOT_BYPASS
-    }
-
-    fn run(&self, fw: &Framework, _now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        let Some(threshold) = fw.bypass_threshold else {
-            return 0;
-        };
-        for ctx in batch.iter_mut() {
-            if ctx.score.value() < threshold {
-                ctx.decision = Some(AdmissionDecision::Admit { score: ctx.score });
-            }
+fn bypass(fw: &Framework, _now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
+    let Some(threshold) = fw.bypass_threshold else {
+        return 0;
+    };
+    for ctx in batch.iter_mut() {
+        if ctx.score.value() < threshold {
+            ctx.decision = Some(AdmissionDecision::Admit { score: ctx.score });
         }
-        batch.len()
     }
+    batch.len()
 }
 
 /// Figure-1 step 3: the policy maps scores to difficulties. The policy
 /// read-lock is taken once and the policy context (load, attack flag,
 /// clock) built once **per batch**.
-struct PolicyStage;
-
-impl AdmissionStage<RequestCtx<'_>> for PolicyStage {
-    fn name(&self) -> &'static str {
-        "policy"
+fn policy(fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
+    if batch.iter().all(|ctx| ctx.decision.is_some()) {
+        return 0;
     }
-
-    fn slot(&self) -> usize {
-        SLOT_POLICY
+    let policy_ctx = PolicyContext {
+        server_load: fw.load(),
+        // Acquire: pairs with the Release in set_under_attack()
+        under_attack: fw.under_attack.load(Ordering::Acquire),
+        now_ms,
+    };
+    // lint:allow(admission-lock) one read of the read-mostly global policy per batch
+    let policy = fw.policy.read();
+    let mut evaluated = 0;
+    for ctx in batch.iter_mut().filter(|ctx| ctx.decision.is_none()) {
+        ctx.difficulty = Some(policy.difficulty_for(ctx.score, &policy_ctx));
+        evaluated += 1;
     }
-
-    fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        if batch.iter().all(|ctx| ctx.decision.is_some()) {
-            return 0;
-        }
-        let policy_ctx = PolicyContext {
-            server_load: fw.load(),
-            // Acquire: pairs with the Release in set_under_attack()
-            under_attack: fw.under_attack.load(Ordering::Acquire),
-            now_ms,
-        };
-        // lint:allow(admission-lock) one read of the read-mostly global policy per batch
-        let policy = fw.policy.read();
-        let mut evaluated = 0;
-        for ctx in batch.iter_mut().filter(|ctx| ctx.decision.is_none()) {
-            ctx.difficulty = Some(policy.difficulty_for(ctx.score, &policy_ctx));
-            evaluated += 1;
-        }
-        evaluated
-    }
+    evaluated
 }
 
 /// Figure-1 step 4: the issuer mints authenticated challenges. The
@@ -377,154 +377,68 @@ impl AdmissionStage<RequestCtx<'_>> for PolicyStage {
 /// routed to the memory-hard puzzle), then
 /// [`aipow_pow::Issuer::issue_backend_at`] mints each challenge; a seed
 /// draw is one atomic increment, so a batch has no seed cost to share.
-struct IssueStage;
-
-impl AdmissionStage<RequestCtx<'_>> for IssueStage {
-    fn name(&self) -> &'static str {
-        "issue"
+fn issue(fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
+    // One router context per batch, mirroring the policy stage's
+    // one-lock-one-context discipline.
+    let route_ctx = PolicyContext {
+        server_load: fw.load(),
+        // Acquire: pairs with the Release in set_under_attack()
+        under_attack: fw.under_attack.load(Ordering::Acquire),
+        now_ms,
+    };
+    let mut issued = 0;
+    for ctx in batch.iter_mut().filter(|ctx| ctx.decision.is_none()) {
+        let difficulty = ctx
+            .difficulty
+            .expect("stage-order invariant: the policy stage ran first");
+        let backend = fw.router.route(ctx.score, &route_ctx);
+        let challenge = fw
+            .issuer
+            .issue_backend_at(ctx.client_ip, difficulty, backend, now_ms);
+        ctx.decision = Some(AdmissionDecision::Challenge(IssuedChallenge {
+            challenge,
+            score: ctx.score,
+            difficulty,
+        }));
+        issued += 1;
     }
-
-    fn slot(&self) -> usize {
-        SLOT_ISSUE
-    }
-
-    fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        // One router context per batch, mirroring the policy stage's
-        // one-lock-one-context discipline.
-        let route_ctx = PolicyContext {
-            server_load: fw.load(),
-            // Acquire: pairs with the Release in set_under_attack()
-            under_attack: fw.under_attack.load(Ordering::Acquire),
-            now_ms,
-        };
-        let mut issued = 0;
-        for ctx in batch.iter_mut().filter(|ctx| ctx.decision.is_none()) {
-            let difficulty = ctx
-                .difficulty
-                .expect("stage-order invariant: the policy stage ran first");
-            let backend = fw.router.route(ctx.score, &route_ctx);
-            let challenge = fw
-                .issuer
-                .issue_backend_at(ctx.client_ip, difficulty, backend, now_ms);
-            ctx.decision = Some(AdmissionDecision::Challenge(IssuedChallenge {
-                challenge,
-                score: ctx.score,
-                difficulty,
-            }));
-            issued += 1;
-        }
-        issued
-    }
+    issued
 }
 
-/// The one observation point of the request chain, replacing the old
-/// per-request audit+metrics+sink fan-out. A batch aggregates the
-/// metrics adds, appends all audit events with one shard-lock
-/// acquisition per shard, and delivers one
+/// The one observation point of the request chain, at every batch
+/// size: one add per metrics counter, every audit event appended with
+/// one shard-lock acquisition per shard, and — only when a sink is
+/// attached, the one case that builds a buffer — one
 /// [`BehaviorSink::on_request_batch`][crate::BehaviorSink::on_request_batch]
 /// call.
-struct RequestTelemetryStage;
-
-impl AdmissionStage<RequestCtx<'_>> for RequestTelemetryStage {
-    fn name(&self) -> &'static str {
-        "request_telemetry"
+fn request_telemetry(fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
+    let issued = batch.iter().filter_map(|ctx| ctx.observation().difficulty);
+    fw.metrics()
+        .record_issued_difficulties(issued.clone().map(|difficulty| difficulty.bits()));
+    let bypassed = batch.len() - issued.count();
+    if bypassed > 0 {
+        fw.metrics().bypassed.add(bypassed as u64);
     }
-
-    fn slot(&self) -> usize {
-        SLOT_REQUEST_TELEMETRY
+    fw.audit().record_batch(batch.len(), |i| {
+        let obs = batch[i].observation();
+        let kind = match obs.difficulty {
+            None => AuditKind::Bypassed { score: obs.score },
+            Some(difficulty) => AuditKind::ChallengeIssued {
+                score: obs.score,
+                difficulty,
+            },
+        };
+        AuditEvent {
+            at_ms: now_ms,
+            client_ip: obs.ip,
+            kind,
+        }
+    });
+    if let Some(sink) = fw.behavior_sink() {
+        let observations: Vec<_> = batch.iter().map(RequestCtx::observation).collect();
+        sink.on_request_batch(now_ms, &observations);
     }
-
-    fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        if let [ctx] = batch {
-            // Sequential fast path: no observation buffers.
-            match ctx
-                .decision
-                .as_ref()
-                .expect("pipeline invariant: the request chain settles every ctx")
-            {
-                AdmissionDecision::Admit { score } => {
-                    fw.metrics().bypassed.inc();
-                    fw.audit()
-                        .record(now_ms, ctx.client_ip, AuditKind::Bypassed { score: *score });
-                    if let Some(sink) = fw.behavior_sink() {
-                        sink.on_request(ctx.client_ip, now_ms, *score, None);
-                    }
-                }
-                AdmissionDecision::Challenge(issued) => {
-                    fw.metrics()
-                        .record_issued_difficulty(issued.difficulty.bits());
-                    fw.audit().record(
-                        now_ms,
-                        ctx.client_ip,
-                        AuditKind::ChallengeIssued {
-                            score: issued.score,
-                            difficulty: issued.difficulty,
-                        },
-                    );
-                    if let Some(sink) = fw.behavior_sink() {
-                        sink.on_request(
-                            ctx.client_ip,
-                            now_ms,
-                            issued.score,
-                            Some(issued.difficulty),
-                        );
-                    }
-                }
-            }
-            return 1;
-        }
-
-        let mut bypassed = 0u64;
-        let mut audit_events = Vec::with_capacity(batch.len());
-        let mut observations = Vec::with_capacity(batch.len());
-        let mut issued_bits: Vec<u8> = Vec::with_capacity(batch.len());
-        for ctx in batch.iter() {
-            match ctx
-                .decision
-                .as_ref()
-                .expect("pipeline invariant: the request chain settles every ctx")
-            {
-                AdmissionDecision::Admit { score } => {
-                    bypassed += 1;
-                    audit_events.push(crate::AuditEvent {
-                        at_ms: now_ms,
-                        client_ip: ctx.client_ip,
-                        kind: AuditKind::Bypassed { score: *score },
-                    });
-                    observations.push(RequestObservation {
-                        ip: ctx.client_ip,
-                        score: *score,
-                        difficulty: None,
-                    });
-                }
-                AdmissionDecision::Challenge(issued) => {
-                    issued_bits.push(issued.difficulty.bits());
-                    audit_events.push(crate::AuditEvent {
-                        at_ms: now_ms,
-                        client_ip: ctx.client_ip,
-                        kind: AuditKind::ChallengeIssued {
-                            score: issued.score,
-                            difficulty: issued.difficulty,
-                        },
-                    });
-                    observations.push(RequestObservation {
-                        ip: ctx.client_ip,
-                        score: issued.score,
-                        difficulty: Some(issued.difficulty),
-                    });
-                }
-            }
-        }
-        if bypassed > 0 {
-            fw.metrics().bypassed.add(bypassed);
-        }
-        fw.metrics().record_issued_difficulties(issued_bits);
-        fw.audit().record_batch(audit_events);
-        if let Some(sink) = fw.behavior_sink() {
-            sink.on_request_batch(now_ms, &observations);
-        }
-        batch.len()
-    }
+    batch.len()
 }
 
 /// Figure-1 step 6: the verifier checks each solution. The per-batch
@@ -535,216 +449,99 @@ impl AdmissionStage<RequestCtx<'_>> for RequestTelemetryStage {
 /// through the multi-buffer SHA-256 kernel
 /// ([`aipow_pow::verifier::PreparedVerify::verify_many`]). A single
 /// submission, or a width below 4, hashes on the scalar kernel.
-struct VerifyStage;
-
-impl AdmissionStage<SolutionCtx<'_>> for VerifyStage {
-    fn name(&self) -> &'static str {
-        "verify"
+fn verify(fw: &Framework, now_ms: u64, batch: &mut [SolutionCtx<'_>]) -> usize {
+    let prepared = fw.verifier().prepare_at(now_ms);
+    let submissions: Vec<_> = batch
+        .iter()
+        .map(|ctx| (ctx.solution, ctx.claimed_ip))
+        .collect();
+    for (ctx, outcome) in batch.iter_mut().zip(prepared.verify_many(&submissions)) {
+        ctx.outcome = Some(outcome);
     }
-
-    fn slot(&self) -> usize {
-        SLOT_VERIFY
-    }
-
-    fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [SolutionCtx<'_>]) -> usize {
-        let prepared = fw.verifier().prepare_at(now_ms);
-        let submissions: Vec<_> = batch
-            .iter()
-            .map(|ctx| (ctx.solution, ctx.claimed_ip))
-            .collect();
-        for (ctx, outcome) in batch.iter_mut().zip(prepared.verify_many(&submissions)) {
-            ctx.outcome = Some(outcome);
-        }
-        // Keep the saturation alarm current once per batch; the guard's
-        // counter is a plain atomic, so this is two relaxed atomic ops,
-        // not a shard sweep.
-        fw.metrics()
-            .replay_evicted_live
-            .set(fw.verifier().replay_guard().live_evictions() as i64);
-        batch.len()
-    }
+    // Keep the saturation alarm current once per batch; the guard's
+    // counter is a plain atomic, so this is two relaxed atomic ops,
+    // not a shard sweep.
+    fw.metrics()
+        .replay_evicted_live
+        .set(fw.verifier().replay_guard().live_evictions() as i64);
+    batch.len()
 }
 
 /// Figure-1 step 7's accounting: accepted solutions charge the cost
 /// ledger. A batch groups charges by shard
 /// ([`crate::CostLedger::charge_batch`]), one lock acquisition per shard.
-struct ChargeStage;
-
-impl AdmissionStage<SolutionCtx<'_>> for ChargeStage {
-    fn name(&self) -> &'static str {
-        "charge"
-    }
-
-    fn slot(&self) -> usize {
-        SLOT_CHARGE
-    }
-
-    fn run(&self, fw: &Framework, _now_ms: u64, batch: &mut [SolutionCtx<'_>]) -> usize {
-        let mut accepted = batch.iter().filter_map(|ctx| {
-            ctx.outcome
-                .as_ref()
-                .expect("pipeline invariant: the verify stage settles every solution")
-                .as_ref()
-                .ok()
-                .map(|token| (ctx.claimed_ip, token.difficulty.expected_attempts()))
-        });
-        let Some(first) = accepted.next() else {
-            return 0;
-        };
-        match accepted.next() {
-            // Sequential fast path / single acceptance: no charge buffer.
-            None => {
-                fw.ledger().charge(first.0, first.1);
-                1
-            }
-            Some(second) => {
-                let mut charges = Vec::with_capacity(batch.len());
-                charges.push(first);
-                charges.push(second);
-                charges.extend(accepted);
-                let charged = charges.len();
-                fw.ledger().charge_batch(charges);
-                charged
-            }
+fn charge(fw: &Framework, _now_ms: u64, batch: &mut [SolutionCtx<'_>]) -> usize {
+    let mut accepted = batch.iter().filter_map(|ctx| {
+        ctx.verified()
+            .ok()
+            .map(|token| (ctx.claimed_ip, token.difficulty.expected_attempts()))
+    });
+    let Some(first) = accepted.next() else {
+        return 0;
+    };
+    match accepted.next() {
+        // A single acceptance: no charge buffer.
+        None => {
+            fw.ledger().charge(first.0, first.1);
+            1
+        }
+        Some(second) => {
+            let mut charges = Vec::with_capacity(batch.len());
+            charges.push(first);
+            charges.push(second);
+            charges.extend(accepted);
+            let charged = charges.len();
+            fw.ledger().charge_batch(charges);
+            charged
         }
     }
 }
 
 /// The one observation point of the solution chain: metrics, audit, and
-/// sink delivery for every outcome, batched like the request telemetry.
-struct SolutionTelemetryStage;
-
-impl AdmissionStage<SolutionCtx<'_>> for SolutionTelemetryStage {
-    fn name(&self) -> &'static str {
-        "solution_telemetry"
+/// sink delivery for every outcome, at every batch size, like the
+/// request telemetry.
+fn solution_telemetry(fw: &Framework, now_ms: u64, batch: &mut [SolutionCtx<'_>]) -> usize {
+    let mut accepted = 0u64;
+    for ctx in batch.iter() {
+        match ctx.verified() {
+            Ok(_) => accepted += 1,
+            Err(err) => fw.metrics().record_rejection(reason_label(err)),
+        }
     }
-
-    fn slot(&self) -> usize {
-        SLOT_SOLUTION_TELEMETRY
+    if accepted > 0 {
+        fw.metrics().solutions_accepted.add(accepted);
     }
-
-    fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [SolutionCtx<'_>]) -> usize {
-        if let [ctx] = batch {
-            match ctx
-                .outcome
-                .as_ref()
-                .expect("pipeline invariant: the verify stage settles every solution")
-            {
-                Ok(token) => {
-                    fw.metrics().solutions_accepted.inc();
-                    fw.audit().record(
-                        now_ms,
-                        ctx.claimed_ip,
-                        AuditKind::SolutionAccepted {
-                            difficulty: token.difficulty,
-                        },
-                    );
-                    if let Some(sink) = fw.behavior_sink() {
-                        sink.on_solution(ctx.claimed_ip, now_ms, Ok(token.difficulty));
-                    }
-                }
-                Err(err) => {
-                    fw.metrics().record_rejection(reason_label(err));
-                    fw.audit().record(
-                        now_ms,
-                        ctx.claimed_ip,
-                        AuditKind::SolutionRejected {
-                            reason: err.to_string(),
-                        },
-                    );
-                    if let Some(sink) = fw.behavior_sink() {
-                        sink.on_solution(ctx.claimed_ip, now_ms, Err(err));
-                    }
-                }
-            }
-            return 1;
+    fw.audit().record_batch(batch.len(), |i| {
+        let obs = batch[i].observation();
+        let kind = match obs.outcome {
+            Ok(difficulty) => AuditKind::SolutionAccepted { difficulty },
+            Err(err) => AuditKind::SolutionRejected {
+                reason: err.to_string(),
+            },
+        };
+        AuditEvent {
+            at_ms: now_ms,
+            client_ip: obs.ip,
+            kind,
         }
-
-        let mut accepted = 0u64;
-        let mut audit_events = Vec::with_capacity(batch.len());
-        let mut observations = Vec::with_capacity(batch.len());
-        for ctx in batch.iter() {
-            match ctx
-                .outcome
-                .as_ref()
-                .expect("pipeline invariant: the verify stage settles every solution")
-            {
-                Ok(token) => {
-                    accepted += 1;
-                    audit_events.push(crate::AuditEvent {
-                        at_ms: now_ms,
-                        client_ip: ctx.claimed_ip,
-                        kind: AuditKind::SolutionAccepted {
-                            difficulty: token.difficulty,
-                        },
-                    });
-                    observations.push(SolutionObservation {
-                        ip: ctx.claimed_ip,
-                        outcome: Ok(token.difficulty),
-                    });
-                }
-                Err(err) => {
-                    fw.metrics().record_rejection(reason_label(err));
-                    audit_events.push(crate::AuditEvent {
-                        at_ms: now_ms,
-                        client_ip: ctx.claimed_ip,
-                        kind: AuditKind::SolutionRejected {
-                            reason: err.to_string(),
-                        },
-                    });
-                    observations.push(SolutionObservation {
-                        ip: ctx.claimed_ip,
-                        outcome: Err(err),
-                    });
-                }
-            }
-        }
-        if accepted > 0 {
-            fw.metrics().solutions_accepted.add(accepted);
-        }
-        fw.audit().record_batch(audit_events);
-        if let Some(sink) = fw.behavior_sink() {
-            sink.on_solution_batch(now_ms, &observations);
-        }
-        batch.len()
+    });
+    if let Some(sink) = fw.behavior_sink() {
+        let observations: Vec<_> = batch.iter().map(SolutionCtx::observation).collect();
+        sink.on_solution_batch(now_ms, &observations);
     }
+    batch.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framework::FrameworkBuilder;
-    use crate::metrics::STAGE_NAMES;
     use aipow_policy::LinearPolicy;
     use aipow_reputation::model::FixedScoreModel;
     use std::net::Ipv4Addr;
 
     fn ip(last: u8) -> IpAddr {
         IpAddr::V4(Ipv4Addr::new(198, 51, 100, last))
-    }
-
-    #[test]
-    fn stage_slots_agree_with_metric_names() {
-        let request: [(&dyn AdmissionStage<RequestCtx<'_>>, usize); 5] = [
-            (&ScoreStage, SLOT_SCORE),
-            (&BypassStage, SLOT_BYPASS),
-            (&PolicyStage, SLOT_POLICY),
-            (&IssueStage, SLOT_ISSUE),
-            (&RequestTelemetryStage, SLOT_REQUEST_TELEMETRY),
-        ];
-        for (stage, slot) in request {
-            assert_eq!(stage.slot(), slot);
-            assert_eq!(STAGE_NAMES[slot], stage.name());
-        }
-        let solution: [(&dyn AdmissionStage<SolutionCtx<'_>>, usize); 3] = [
-            (&VerifyStage, SLOT_VERIFY),
-            (&ChargeStage, SLOT_CHARGE),
-            (&SolutionTelemetryStage, SLOT_SOLUTION_TELEMETRY),
-        ];
-        for (stage, slot) in solution {
-            assert_eq!(stage.slot(), slot);
-            assert_eq!(STAGE_NAMES[slot], stage.name());
-        }
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //!   `aipow-online` recorder is built on `aipow-shard`), so two clients
 //!   never contend on a sink-global lock;
 //! - events carry only `Copy` data plus a borrowed [`VerifyError`], so
-//!   emitting one allocates nothing.
+//!   an event allocates nothing; the framework delivers each admission
+//!   pass's events as one slice through
+//!   [`on_request_batch`](BehaviorSink::on_request_batch) /
+//!   [`on_solution_batch`](BehaviorSink::on_solution_batch), whose
+//!   buffer it builds only while a sink is attached.
 
 use aipow_pow::{Difficulty, VerifyError};
 use aipow_reputation::ReputationScore;

@@ -26,17 +26,14 @@ fn ip() -> IpAddr {
         .expect("valid fixture address: invariant")
 }
 
-fn batch(stamps: &[u64]) -> Vec<AuditEvent> {
-    stamps
-        .iter()
-        .map(|&at_ms| AuditEvent {
-            at_ms,
-            client_ip: ip(),
-            kind: AuditKind::Bypassed {
-                score: ReputationScore::MIN,
-            },
-        })
-        .collect()
+fn event(at_ms: u64) -> AuditEvent {
+    AuditEvent {
+        at_ms,
+        client_ip: ip(),
+        kind: AuditKind::Bypassed {
+            score: ReputationScore::MIN,
+        },
+    }
 }
 
 /// Two racing `record_batch` calls: the single `fetch_add(n)` reserves
@@ -51,9 +48,9 @@ fn record_batch_reserves_disjoint_contiguous_seq_ranges() {
         let log = Arc::new(AuditLog::with_shards(8, 2));
         let other = Arc::clone(&log);
         let racer = loom::thread::spawn(move || {
-            other.record_batch(batch(&[10, 11]));
+            other.record_batch(2, |i| event([10, 11][i]));
         });
-        log.record_batch(batch(&[20, 21]));
+        log.record_batch(2, |i| event([20, 21][i]));
         racer.join().expect("model thread join: invariant");
         assert_eq!(log.recorded(), 4, "one reservation per batch");
         assert_eq!(log.len(), 4, "no event lost to a duplicate sequence");

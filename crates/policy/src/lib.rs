@@ -12,9 +12,8 @@
 //!   [`LinearPolicy::policy1`] (`d = R + 1`),
 //!   [`LinearPolicy::policy2`] (`d = R + 5`), and
 //!   [`ErrorRangePolicy`] (Policy 3: error-range randomized mapping);
-//! - extensions: [`StepPolicy`] tiers, [`PowerPolicy`] curvature,
-//!   [`LoadAdaptivePolicy`] server-load coupling, and
-//!   [`combinators`] for clamping/offsetting any policy;
+//! - extensions: [`StepPolicy`] tiers, [`PowerPolicy`] curvature, and
+//!   [`LoadAdaptivePolicy`] server-load coupling;
 //! - an administrator **rule DSL** ([`dsl`]) so policies can be specified
 //!   as text in configuration, exactly as the paper envisions;
 //! - a [`registry`] resolving textual policy specs (`"policy2"`,
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod combinators;
 pub mod context;
 pub mod dsl;
 pub mod error_range;

@@ -77,8 +77,8 @@ pub mod reputation {
     pub use aipow_reputation::*;
 }
 
-/// Score→difficulty policies: the paper's Policies 1–3, extensions,
-/// combinators, and the administrator rule DSL.
+/// Score→difficulty policies: the paper's Policies 1–3, extensions, and
+/// the administrator rule DSL.
 pub mod policy {
     pub use aipow_policy::*;
 }
